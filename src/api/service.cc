@@ -379,6 +379,7 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
   if (plan != nullptr) {
     out.plan_cache_hit = true;
     out.result.compile_ms = 0;  // no parse/compile/optimize happened
+    out.result.optimize_ms = 0;
   } else {
     Result<QueryPlans> planned = PlanQuery(query, options, &strings_);
     if (!planned.ok()) {
@@ -396,6 +397,7 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
     fresh->stats_initial = CollectPlanStats(*fresh->dag, fresh->initial);
     fresh->stats_optimized = CollectPlanStats(*fresh->dag, fresh->optimized);
     out.result.compile_ms = MsSince(plan_start);
+    out.result.optimize_ms = planned.value().optimize_ms;
     if (plan_cache_enabled_) {
       plan_cache_.Put(key, fresh, PlanBytes(*fresh->dag));
     }

@@ -106,8 +106,10 @@ Result<QueryPlans> PlanQuery(std::string_view query,
   oopts.verify_each_pass = options.verify_each_pass;
   oopts.strings = strings;
   oopts.trade_log = &plans.trades;
+  Clock::time_point optimize_start = Clock::now();
   EXRQUY_ASSIGN_OR_RETURN(
       plans.optimized, Optimize(plans.dag.get(), plans.initial, oopts));
+  plans.optimize_ms = MsSince(optimize_start);
 
   // And once more after the pipeline (cheap single pass) so a rewrite
   // bug is caught even when the per-pass hook is off.
@@ -386,6 +388,7 @@ Result<QueryResult> Session::Execute(std::string_view query,
 
   EXRQUY_ASSIGN_OR_RETURN(QueryPlans plans, PlanInternal(query, options));
   result.compile_ms = MsSince(start);
+  result.optimize_ms = plans.optimize_ms;
 
   result.plan_initial = CollectPlanStats(*plans.dag, plans.initial);
   result.plan_optimized = CollectPlanStats(*plans.dag, plans.optimized);

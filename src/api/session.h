@@ -126,7 +126,11 @@ struct QueryResult {
   PlanStats plan_optimized;        // after the rewrite pipeline
   Profile profile;                 // filled when QueryOptions::profile
   size_t sorts_skipped = 0;        // with physical_sort_detection
+  // Planning wall time (parse through verified optimized plan); 0 on a
+  // QueryService plan-cache hit.
   double compile_ms = 0;
+  // The optimizer's share of compile_ms (QueryPlans::optimize_ms); 0 on
+  // a plan-cache hit.
   double optimize_ms = 0;
   double execute_ms = 0;
 };
@@ -141,6 +145,9 @@ struct QueryPlans {
   // checker's verdict (opt/rewrites.h, opt/certify.h). The legacy
   // %-elimination trade log is the order_trade subset.
   std::vector<RewriteTrade> trades;
+  // Wall time of the Optimize call: every rewrite pass, its analyses,
+  // per-pass verification and certification.
+  double optimize_ms = 0;
 };
 
 // The front half of the pipeline — parse -> normalize -> compile ->

@@ -7,7 +7,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <optional>
+#include <span>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -63,29 +67,23 @@ bool IsNodeConstructor(OpKind k) {
   return k == OpKind::kElem || k == OpKind::kAttr || k == OpKind::kTextNode;
 }
 
-// Where the running operator task reports its chunk count (set around
-// EvalOp; chunked kernels run on the same thread as their dispatch).
-thread_local size_t* tls_chunks = nullptr;
+// What a standalone kernel reports into its operator's profile record,
+// through a pointer set around EvalOp (chunked kernels run on the same
+// thread as their dispatch).
+struct KernelNotes {
+  size_t chunks = 1;
+  uint64_t theta_fallback_pairs = 0;
+};
+thread_local KernelNotes* tls_notes = nullptr;
 
 void NoteChunks(size_t chunks) {
-  if (tls_chunks != nullptr) *tls_chunks = std::max(*tls_chunks, chunks);
+  if (tls_notes != nullptr) {
+    tls_notes->chunks = std::max(tls_notes->chunks, chunks);
+  }
 }
 
-// Hash of one row over the given column pointers.
-uint64_t RowHash(const std::vector<const Column*>& cols, size_t row) {
-  uint64_t h = 1469598103934665603ull;
-  for (const Column* c : cols) {
-    h ^= (*c)[row].Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-bool RowEquals(const std::vector<const Column*>& a, size_t ra,
-               const std::vector<const Column*>& b, size_t rb) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!((*a[i])[ra] == (*b[i])[rb])) return false;
-  }
-  return true;
+void NoteThetaFallback(uint64_t pairs) {
+  if (tls_notes != nullptr) tls_notes->theta_fallback_pairs += pairs;
 }
 
 // Key normalization for value joins: general comparison treats xs:string
@@ -98,69 +96,172 @@ Value NormalizeValueKey(const Value& v) {
   return v.kind == ValueKind::kUntyped ? Value::Str(v.str) : v;
 }
 
-uint64_t RowHashNorm(const std::vector<const Column*>& cols, size_t row) {
-  uint64_t h = 1469598103934665603ull;
-  for (const Column* c : cols) {
-    h ^= NormalizeValueKey((*c)[row]).Hash() + 0x9e3779b97f4a7c15ull +
-         (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-bool RowEqualsNorm(const std::vector<const Column*>& a, size_t ra,
-                   const std::vector<const Column*>& b, size_t rb) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!(NormalizeValueKey((*a[i])[ra]) == NormalizeValueKey((*b[i])[rb]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Simple open hash table from row keys to row indices. Built once,
-// read-only afterwards — probing from concurrent chunk tasks is safe.
-// `normalize_keys` switches to the value-join key normalization above.
-class RowIndex {
+// The engine's one hash table: open addressing over at most `capacity`
+// dense ids in one flat slot array — linear probing at load <= 2/3, each
+// slot a 32-bit hash and an id — so building n entries is one
+// allocation, never one vector per bucket, and a probe usually touches
+// one cache line. Read-only once built, so concurrent probes are safe.
+class FlatHashTable {
  public:
-  RowIndex(std::vector<const Column*> key_cols, size_t rows,
-           bool normalize_keys = false)
-      : key_cols_(std::move(key_cols)), normalize_keys_(normalize_keys) {
-    buckets_.resize(std::max<size_t>(16, rows * 2));
-    for (size_t r = 0; r < rows; ++r) {
-      size_t b = Hash(key_cols_, r) % buckets_.size();
-      buckets_[b].push_back(static_cast<uint32_t>(r));
-    }
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  explicit FlatHashTable(size_t capacity)
+      : slots_(capacity + capacity / 2 + 1, Slot{0, kEnd}) {}
+
+  void Insert(uint32_t id, uint64_t h) {
+    const uint32_t tag = Hash32(h);
+    size_t i = Home(tag);
+    while (slots_[i].id != kEnd) i = Next(i);
+    slots_[i] = Slot{tag, id};
   }
 
-  // Invokes fn(row) for every stored row whose key equals the probe row.
+  // Calls fn(id) for the ids inserted under hash `h` until fn returns
+  // true; returns that id, or kEnd.
   template <typename Fn>
-  void ForEachMatch(const std::vector<const Column*>& probe_cols,
-                    size_t probe_row, Fn fn) const {
-    size_t b = Hash(probe_cols, probe_row) % buckets_.size();
-    for (uint32_t r : buckets_[b]) {
-      if (normalize_keys_
-              ? RowEqualsNorm(key_cols_, r, probe_cols, probe_row)
-              : RowEquals(key_cols_, r, probe_cols, probe_row)) {
-        fn(r);
-      }
+  uint32_t Find(uint64_t h, Fn fn) const {
+    const uint32_t tag = Hash32(h);
+    for (size_t i = Home(tag); slots_[i].id != kEnd; i = Next(i)) {
+      if (slots_[i].tag == tag && fn(slots_[i].id)) return slots_[i].id;
     }
+    return kEnd;
   }
 
-  bool Contains(const std::vector<const Column*>& probe_cols,
-                size_t probe_row) const {
-    bool found = false;
-    ForEachMatch(probe_cols, probe_row, [&](uint32_t) { found = true; });
-    return found;
+  // Starts loading the slot where an Insert/Find of `h` begins.
+  void Prefetch(uint64_t h) const {
+    __builtin_prefetch(&slots_[Home(Hash32(h))]);
   }
 
  private:
+  struct Slot {
+    uint32_t tag;  // the mixed hash; Home() derives the slot from it
+    uint32_t id;
+  };
+
+  // A murmur3-style finalizer (one multiply round); the high half.
+  static uint32_t Hash32(uint64_t h) {
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    return static_cast<uint32_t>(h >> 32);
+  }
+  // Maps the hash onto [0, slots) by multiply-shift.
+  size_t Home(uint32_t tag) const {
+    return static_cast<size_t>((uint64_t{tag} * slots_.size()) >> 32);
+  }
+  size_t Next(size_t i) const { return i + 1 == slots_.size() ? 0 : i + 1; }
+
+  std::vector<Slot> slots_;
+};
+
+// Runs fn(r, hash(r)) for r in [b, e), computing each block's hashes and
+// prefetching their slots in `t` before the block runs, so the random
+// slot accesses overlap instead of stalling one by one.
+template <typename HashFn, typename Fn>
+void ForEachHashedRow(const FlatHashTable& t, size_t b, size_t e,
+                      const HashFn& hash, const Fn& fn) {
+  constexpr size_t kBlock = 16;
+  uint64_t h[kBlock];
+  for (size_t lo = b; lo < e; lo += kBlock) {
+    size_t hi = std::min(e, lo + kBlock);
+    for (size_t r = lo; r < hi; ++r) {
+      h[r - lo] = hash(r);
+      t.Prefetch(h[r - lo]);
+    }
+    for (size_t r = lo; r < hi; ++r) fn(static_cast<uint32_t>(r), h[r - lo]);
+  }
+}
+
+// Rows grouped by key — the EquiJoin build, the SemiJoin/Difference
+// right side, Distinct and Aggr grouping. The FlatHashTable holds one
+// entry per distinct key (its group's first row), so duplicate keys
+// never lengthen a probe. Groups are numbered in first-appearance order;
+// with `member_rows`, each group's rows are also kept, ascending, in one
+// flat array. `normalize_keys` compares keys under the value-join
+// normalization above. Read-only once built.
+class RowGroups {
+ public:
+  RowGroups(std::vector<const Column*> key_cols, size_t rows,
+            bool normalize_keys, bool member_rows)
+      : key_cols_(std::move(key_cols)),
+        normalize_keys_(normalize_keys),
+        table_(rows) {
+    std::vector<uint32_t> group_of(member_rows ? rows : 0);
+    ForEachHashedRow(
+        table_, 0, rows, [&](size_t r) { return Hash(key_cols_, r); },
+        [&](uint32_t r, uint64_t h) {
+          uint32_t g = Find(h, key_cols_, r);
+          if (g == FlatHashTable::kEnd) {
+            g = static_cast<uint32_t>(reps_.size());
+            reps_.push_back(r);
+            table_.Insert(g, h);
+          }
+          if (member_rows) group_of[r] = g;
+        });
+    if (!member_rows) return;
+    // Counting sort by group: rows_[begin_[g], begin_[g + 1]) ascending.
+    begin_.assign(reps_.size() + 1, 0);
+    for (uint32_t g : group_of) ++begin_[g + 1];
+    std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
+    rows_.resize(rows);
+    std::vector<uint32_t> next(begin_.begin(), begin_.end() - 1);
+    for (uint32_t r = 0; r < rows; ++r) rows_[next[group_of[r]]++] = r;
+  }
+
+  size_t size() const { return reps_.size(); }
+  // Each group's first row; ascending, since groups number by first
+  // appearance.
+  const std::vector<uint32_t>& reps() const { return reps_; }
+  // A group's rows, ascending (requires `member_rows`).
+  std::span<const uint32_t> rows(size_t g) const {
+    return {rows_.data() + begin_[g], begin_[g + 1] - begin_[g]};
+  }
+
+  // For each probe row in [b, e), in order, calls fn(probe_row, group)
+  // when some group's key equals the probe row's key.
+  template <typename Fn>
+  void Probe(const std::vector<const Column*>& probe_cols, size_t b,
+             size_t e, const Fn& fn) const {
+    ForEachHashedRow(
+        table_, b, e, [&](size_t r) { return Hash(probe_cols, r); },
+        [&](uint32_t pr, uint64_t h) {
+          uint32_t g = Find(h, probe_cols, pr);
+          if (g != FlatHashTable::kEnd) fn(pr, g);
+        });
+  }
+
+ private:
+  Value Key(const Column& c, size_t row) const {
+    return normalize_keys_ ? NormalizeValueKey(c[row]) : c[row];
+  }
+  // Folds the key values' hashes with a multiply after each xor, which
+  // spreads every input bit upward, so rows of small integers — (iter,
+  // iter') pairs — do not collide.
   uint64_t Hash(const std::vector<const Column*>& cols, size_t row) const {
-    return normalize_keys_ ? RowHashNorm(cols, row) : RowHash(cols, row);
+    uint64_t h = 1469598103934665603ull;
+    for (const Column* c : cols) {
+      h = (h ^ Key(*c, row).Hash()) * 0x9e3779b97f4a7c15ull;
+    }
+    return h;
+  }
+  // The group whose key (its first row's) equals cols' key at `row`.
+  uint32_t Find(uint64_t h, const std::vector<const Column*>& cols,
+                size_t row) const {
+    return table_.Find(h, [&](uint32_t g) {
+      for (size_t i = 0; i < cols.size(); ++i) {
+        if (!(Key(*key_cols_[i], reps_[g]) == Key(*cols[i], row))) {
+          return false;
+        }
+      }
+      return true;
+    });
   }
 
   std::vector<const Column*> key_cols_;
   bool normalize_keys_;
-  std::vector<std::vector<uint32_t>> buckets_;
+  FlatHashTable table_;
+  std::vector<uint32_t> reps_;
+  std::vector<uint32_t> begin_;
+  std::vector<uint32_t> rows_;
 };
 
 std::vector<const Column*> ColPtrs(const Table& t,
@@ -206,7 +307,270 @@ struct MorselOut {
 
 constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
+// -- ThetaJoin comparison domains -------------------------------------------
+
+constexpr uint32_t KindBit(ValueKind k) {
+  return uint32_t{1} << static_cast<unsigned>(k);
+}
+constexpr uint32_t kIntBit = KindBit(ValueKind::kInt);
+constexpr uint32_t kBoolBit = KindBit(ValueKind::kBool);
+constexpr uint32_t kUntypedBit = KindBit(ValueKind::kUntyped);
+constexpr uint32_t kNumericBits = kIntBit | KindBit(ValueKind::kDouble);
+constexpr uint32_t kStringBits = KindBit(ValueKind::kString) | kUntypedBit;
+
+// The set of value kinds in keys[b, e).
+uint32_t KindMask(const Column& keys, size_t b, size_t e) {
+  uint32_t mask = 0;
+  for (size_t i = b; i < e; ++i) mask |= KindBit(keys[i].kind);
+  return mask;
+}
+
+// Casts numeric/untyped keys[b, e) to xs:double exactly as
+// ValueOps::Compare does. False when an untyped value does not parse;
+// `exact` turns false when an int does not survive the cast (|i| > 2^53).
+bool CastNumeric(const Column& keys, size_t b, size_t e, const ValueOps& ops,
+                 std::vector<double>* out, bool* exact) {
+  constexpr int64_t kExactInt = int64_t{1} << 53;
+  out->resize(e - b);
+  for (size_t i = b; i < e; ++i) {
+    const Value& v = keys[i];
+    if (v.kind == ValueKind::kInt) {
+      *exact = *exact && v.i >= -kExactInt && v.i <= kExactInt;
+      (*out)[i - b] = static_cast<double>(v.i);
+    } else if (v.kind == ValueKind::kDouble) {
+      (*out)[i - b] = v.d;
+    } else {
+      Result<Value> d = ops.ToDouble(v);
+      if (!d.ok()) return false;
+      (*out)[i - b] = d.value().d;
+    }
+  }
+  return true;
+}
+
+// Three-way comparison with ValueOps::Compare's numeric semantics: exact
+// on int64, the sign of the difference on doubles (so NaN compares equal
+// to everything, as there).
+inline int Cmp3(int64_t a, int64_t b) {
+  return static_cast<int>(a > b) - static_cast<int>(a < b);
+}
+inline int Cmp3(double a, double b) {
+  double d = a - b;
+  return static_cast<int>(d > 0) - static_cast<int>(d < 0);
+}
+
+bool IsRelation(FunKind f) {
+  return f == FunKind::kEq || f == FunKind::kNe || f == FunKind::kLt ||
+         f == FunKind::kLe || f == FunKind::kGt || f == FunKind::kGe;
+}
+
+// The one ThetaJoin nested loop: pairs (i, j), i in [b, e), j in [0, m),
+// left-major with matches in right-row order. Matches are written
+// branch-free (the candidate is always stored, the cursor advances on a
+// match). Polls the governor on pair volume.
+template <typename Match, typename Poll>
+Status ThetaNestedLoop(size_t b, size_t e, size_t m, const Match& match,
+                       const Poll& poll, std::vector<uint32_t>* l_rows,
+                       std::vector<uint32_t>* r_rows) {
+  std::vector<uint32_t> hits(m);
+  size_t since_poll = 0;
+  for (size_t i = b; i < e; ++i) {
+    if (since_poll >= 0x10000) {
+      since_poll = 0;
+      EXRQUY_RETURN_IF_ERROR(poll());
+    }
+    since_poll += m;
+    size_t cnt = 0;
+    for (size_t j = 0; j < m; ++j) {
+      hits[cnt] = static_cast<uint32_t>(j);
+      cnt += static_cast<size_t>(match(i, j));
+    }
+    l_rows->insert(l_rows->end(), cnt, static_cast<uint32_t>(i));
+    r_rows->insert(r_rows->end(), hits.begin(),
+                   hits.begin() + static_cast<ptrdiff_t>(cnt));
+  }
+  return Status::Ok();
+}
+
+// The nested loop over typed keys: lk[0, e - b) stands for probe rows
+// [b, e), rk for the m build rows.
+template <typename K, typename Poll>
+Status ScanTyped(FunKind f, const K* lk, size_t b, size_t e, const K* rk,
+                 size_t m, const Poll& poll, std::vector<uint32_t>* l_rows,
+                 std::vector<uint32_t>* r_rows) {
+  auto scan = [&](auto holds) {
+    return ThetaNestedLoop(
+        b, e, m,
+        [&](size_t i, size_t j) { return holds(Cmp3(lk[i - b], rk[j])); },
+        poll, l_rows, r_rows);
+  };
+  switch (f) {
+    case FunKind::kEq:
+      return scan([](int c) { return c == 0; });
+    case FunKind::kNe:
+      return scan([](int c) { return c != 0; });
+    case FunKind::kLt:
+      return scan([](int c) { return c < 0; });
+    case FunKind::kLe:
+      return scan([](int c) { return c <= 0; });
+    case FunKind::kGt:
+      return scan([](int c) { return c > 0; });
+    default:  // kGe; callers pass relations only
+      return scan([](int c) { return c >= 0; });
+  }
+}
+
 }  // namespace
+
+// A ThetaJoin's build (right) side, shared by every probe range. Its keys
+// in each comparison domain are prepared once, on first use — an untyped
+// build side may serve the numeric or the string domain, and only the
+// probe ranges decide which — under std::call_once, since morsel tasks
+// probe concurrently.
+struct Evaluator::ThetaBuild {
+  enum Domain { kInt, kDouble, kNone };
+
+  ThetaBuild(const Table& t, ColId key, const ValueOps& ops)
+      : table(t), keys(t.col(key)), kinds(KindMask(keys, 0, keys.size())),
+        ops_(ops) {}
+
+  // Casts probe keys lk[b, e) into the domain they share with every
+  // build key: into *li with the build keys at *ri (kInt), or into *ld
+  // with the build keys at *rd (kDouble); kNone when there is none.
+  Domain Probe(const Column& lk, size_t b, size_t e, std::vector<int64_t>* li,
+               const int64_t** ri, std::vector<double>* ld,
+               const double** rd) const {
+    const uint32_t lkinds = KindMask(lk, b, e);
+    const uint32_t both = lkinds | kinds;
+    if ((both & ~(kNumericBits | kUntypedBit)) == 0 &&
+        (lkinds & kinds & kUntypedBit) == 0) {
+      if (lkinds == kIntBit && kinds == kIntBit) {
+        for (size_t i = b; i < e; ++i) li->push_back(lk[i].i);
+        *ri = IntKeys().data();
+        return kInt;
+      }
+      // Int-int pairs compare exactly in Compare, so the double domain
+      // holds them only when both ints survive the cast.
+      std::call_once(dbl_once_, [&] {
+        dbl_ok_ = CastNumeric(keys, 0, keys.size(), ops_, &dbl_, &exact_);
+      });
+      bool exact = true;
+      if (!dbl_ok_ || !CastNumeric(lk, b, e, ops_, ld, &exact) ||
+          ((lkinds & kinds & kIntBit) != 0 && !(exact && exact_))) {
+        return kNone;
+      }
+      *rd = dbl_.data();
+      return kDouble;
+    }
+    if ((both & ~kStringBits) == 0) {
+      // A probe string ranks 2p when it equals build string p and 2p - 1
+      // when it sorts between build strings p - 1 and p.
+      *ri = IntKeys().data();
+      for (size_t i = b; i < e; ++i) {
+        std::string_view sv = ops_.strings().Get(lk[i].str);
+        auto it = std::lower_bound(strs_.begin(), strs_.end(), sv);
+        int64_t p = 2 * static_cast<int64_t>(it - strs_.begin());
+        li->push_back(it != strs_.end() && *it == sv ? p : p - 1);
+      }
+      return kInt;
+    }
+    if (lkinds == kBoolBit && kinds == kBoolBit) {
+      for (size_t i = b; i < e; ++i) {
+        li->push_back(static_cast<int64_t>(lk[i].b));
+      }
+      *ri = IntKeys().data();
+      return kInt;
+    }
+    return kNone;
+  }
+
+  const Table& table;
+  const Column& keys;
+  const uint32_t kinds;  // KindBit set over the build keys
+
+ private:
+  // The int-coded build keys: the ints (all-int keys), 0/1 (all-bool)
+  // or 2 × the rank among the distinct build strings (all string-class).
+  const std::vector<int64_t>& IntKeys() const {
+    std::call_once(ints_once_, [&] {
+      ints_.reserve(keys.size());
+      if (kinds == kIntBit || kinds == kBoolBit) {
+        for (const Value& v : keys) {
+          ints_.push_back(kinds == kIntBit ? v.i : static_cast<int64_t>(v.b));
+        }
+        return;
+      }
+      std::vector<std::string_view> all;
+      all.reserve(keys.size());
+      for (const Value& v : keys) all.push_back(ops_.strings().Get(v.str));
+      strs_ = all;
+      std::sort(strs_.begin(), strs_.end());
+      strs_.erase(std::unique(strs_.begin(), strs_.end()), strs_.end());
+      for (std::string_view sv : all) {
+        auto it = std::lower_bound(strs_.begin(), strs_.end(), sv);
+        ints_.push_back(2 * static_cast<int64_t>(it - strs_.begin()));
+      }
+    });
+    return ints_;
+  }
+
+  const ValueOps& ops_;
+  mutable std::once_flag ints_once_;
+  mutable std::vector<int64_t> ints_;
+  mutable std::vector<std::string_view> strs_;  // distinct, ascending
+  mutable std::once_flag dbl_once_;
+  mutable bool dbl_ok_ = false;  // every untyped build key cast
+  mutable bool exact_ = true;    // every int build key survives the cast
+  mutable std::vector<double> dbl_;
+};
+
+Status Evaluator::ThetaRange(const Op& op, const Column& lk, size_t b,
+                             size_t e, const ThetaBuild& build,
+                             std::vector<uint32_t>* l_rows,
+                             std::vector<uint32_t>* r_rows,
+                             uint64_t* fallback_pairs) {
+  // Every pair (i, j) is decided by ValueOps::Compare's general-
+  // comparison rules. Instead of calling it per pair, each probe key of
+  // [b, e) is cast once into the comparison domain it shares with every
+  // build key, and the scan compares plain int64 or double keys:
+  //   numeric — int/double, untyped cast to xs:double against numbers;
+  //             exact int64 when both sides hold only ints, else double
+  //             (ints beyond 2^53 meeting ints there have no domain);
+  //   string  — string/untyped on both sides, compared by rank;
+  //   bool    — bool on both sides.
+  // A range without one domain — one side mixing untyped and numeric
+  // keys against untyped ones, a node, incomparable kinds, a failing
+  // cast — keeps the per-pair Compare: same pairs, same order, same
+  // first error. That is data-dependent, never a configuration choice.
+  const size_t m = build.keys.size();
+  if (b == e || m == 0) return Status::Ok();
+  auto poll = [this] { return PollGovernor(); };
+  std::vector<int64_t> li;
+  std::vector<double> ld;
+  const int64_t* ri = nullptr;
+  const double* rd = nullptr;
+  switch (IsRelation(op.fun) ? build.Probe(lk, b, e, &li, &ri, &ld, &rd)
+                             : ThetaBuild::kNone) {
+    case ThetaBuild::kInt:
+      return ScanTyped(op.fun, li.data(), b, e, ri, m, poll, l_rows, r_rows);
+    case ThetaBuild::kDouble:
+      return ScanTyped(op.fun, ld.data(), b, e, rd, m, poll, l_rows, r_rows);
+    case ThetaBuild::kNone:
+      break;
+  }
+  *fallback_pairs += static_cast<uint64_t>(e - b) * m;
+  Status err;  // the first failing pair's; later pairs are skipped
+  Status st = ThetaNestedLoop(
+      b, e, m,
+      [&](size_t i, size_t j) {
+        if (!err.ok()) return false;
+        Result<Value> v = ops_.Compare(op.fun, lk[i], build.keys[j]);
+        if (!v.ok()) err = v.status();
+        return v.ok() && v.value().b;
+      },
+      poll, l_rows, r_rows);
+  return err.ok() ? st : err;
+}
 
 // Per-Eval scheduler state. Operators are addressed by their dense slot in
 // the topological order; `pending` counts unfinished children (plus the
@@ -473,12 +837,12 @@ Result<TablePtr> Evaluator::EvalSerial(const std::vector<OpId>& order,
       in.push_back(memo.at(c));
       in_rows += in.back()->rows();
     }
-    size_t chunks = 1;
-    tls_chunks = &chunks;
+    KernelNotes notes;
+    tls_notes = &notes;
     Clock::time_point start = Clock::now();
     Result<TablePtr> r = EvalOp(op, in);
     double ms = MsSince(start);
-    tls_chunks = nullptr;
+    tls_notes = nullptr;
     if (r.ok() && tripped_.load(std::memory_order_acquire)) {
       // A governor trip mid-kernel makes chunk tasks skip their slices;
       // the assembled table would be torn, so it must not be memoized.
@@ -492,7 +856,8 @@ Result<TablePtr> Evaluator::EvalSerial(const std::vector<OpId>& order,
       m.ms = ms;
       m.in_rows = in_rows;
       m.out_rows = t->rows();
-      m.chunks = chunks;
+      m.chunks = notes.chunks;
+      m.theta_fallback_pairs = notes.theta_fallback_pairs;
       ctx_->profile->Record(op, std::move(m));
     }
     TrackTable(*t);
@@ -625,8 +990,8 @@ void Evaluator::RunOne(Sched* s, size_t i, bool queued,
     in_rows += t->rows();
   }
   double queue_ms = queued ? MsSince(s->ready_at[i]) : 0;
-  size_t chunks = 1;
-  tls_chunks = &chunks;
+  KernelNotes notes;
+  tls_notes = &notes;
   Clock::time_point start = Clock::now();
   Result<TablePtr> r = [&]() -> Result<TablePtr> {
     if (IsNodeConstructor(op.kind)) {
@@ -637,7 +1002,7 @@ void Evaluator::RunOne(Sched* s, size_t i, bool queued,
     return EvalOp(op, in);
   }();
   double ms = MsSince(start);
-  tls_chunks = nullptr;
+  tls_notes = nullptr;
   in.clear();
 
   if (r.ok() && tripped_.load(std::memory_order_acquire)) {
@@ -664,7 +1029,8 @@ void Evaluator::RunOne(Sched* s, size_t i, bool queued,
         m.queue_ms = queue_ms;
         m.in_rows = in_rows;
         m.out_rows = t->rows();
-        m.chunks = chunks;
+        m.chunks = notes.chunks;
+        m.theta_fallback_pairs = notes.theta_fallback_pairs;
         ctx_->profile->Record(op, std::move(m));
       }
       TrackTable(*t);
@@ -843,7 +1209,9 @@ Result<TablePtr> Evaluator::EvalPipeline(
   const Table* stream = nullptr;  // single-stream heads (and the probe side)
   const Table* lT = nullptr;      // union / equi-join heads
   const Table* rT = nullptr;
-  std::unique_ptr<RowIndex> jindex;  // equi-join build, done once up front
+  std::unique_ptr<RowGroups> jindex;  // equi-join build, done once up front
+  // Blocking build work per stage, charged to that stage's wall time.
+  std::vector<double> setup_ms(nstages, 0);
   bool jbuild_right = false;
   ColId jprobe_col = kNoCol;
   size_t total = 0;
@@ -864,15 +1232,26 @@ Result<TablePtr> Evaluator::EvalPipeline(
       stream = jbuild_right ? lT : rT;
       ColId build_col = jbuild_right ? hop.col2 : hop.col;
       jprobe_col = jbuild_right ? hop.col : hop.col2;
-      jindex = std::make_unique<RowIndex>(
+      Clock::time_point t0 = Clock::now();
+      jindex = std::make_unique<RowGroups>(
           std::vector<const Column*>{&build->col(build_col)}, build->rows(),
-          hop.value_join);
+          hop.value_join, /*member_rows=*/true);
+      setup_ms[0] = MsSince(t0);
       total = stream->rows();
       break;
     }
     default:
       stream = ext[0][0].get();
       total = stream->rows();
+  }
+  // Theta stages prepare their build side once, before any morsel, too.
+  std::vector<std::unique_ptr<ThetaBuild>> theta(nstages);
+  for (size_t si = 0; si < nstages; ++si) {
+    if (sops[si]->kind != OpKind::kThetaJoin) continue;
+    Clock::time_point t0 = Clock::now();
+    theta[si] =
+        std::make_unique<ThetaBuild>(*ext[si][1], sops[si]->col2, ops_);
+    setup_ms[si] = MsSince(t0);
   }
 
   const size_t morsels = NumMorsels(total);
@@ -883,10 +1262,24 @@ Result<TablePtr> Evaluator::EvalPipeline(
   std::vector<double> st_ms;
   std::vector<size_t> st_in;
   std::vector<size_t> st_out;
+  std::vector<uint64_t> st_fallback;
   if (prof) {
     st_ms.assign(morsels * nstages, 0);
     st_in.assign(morsels * nstages, 0);
     st_out.assign(morsels * nstages, 0);
+    st_fallback.assign(morsels * nstages, 0);
+  }
+
+  // A join stage that feeds an in-pipe Project gathers only the columns
+  // the Project reads: its interior table has no other reader.
+  std::vector<const std::vector<ColId>*> needed(nstages, nullptr);
+  std::vector<std::vector<ColId>> project_reads(nstages);
+  for (size_t si = 0; si + 1 < nstages; ++si) {
+    if (sops[si + 1]->kind != OpKind::kProject) continue;
+    for (const auto& [n, o] : sops[si + 1]->proj) {
+      project_reads[si].push_back(o);
+    }
+    needed[si] = &project_reads[si];
   }
 
   auto equi_probe = [&](size_t b,
@@ -894,31 +1287,18 @@ Result<TablePtr> Evaluator::EvalPipeline(
     std::vector<const Column*> probe_key = {&stream->col(jprobe_col)};
     std::vector<uint32_t> probe_rows;
     std::vector<uint32_t> build_rows;
-    for (size_t pr = b; pr < e; ++pr) {
-      jindex->ForEachMatch(probe_key, pr, [&](uint32_t br) {
-        probe_rows.push_back(static_cast<uint32_t>(pr));
+    jindex->Probe(probe_key, b, e, [&](uint32_t pr, uint32_t g) {
+      for (uint32_t br : jindex->rows(g)) {
+        probe_rows.push_back(pr);
         build_rows.push_back(br);
-      });
-    }
+      }
+    });
     const std::vector<uint32_t>& l_rows =
         jbuild_right ? probe_rows : build_rows;
     const std::vector<uint32_t>& r_rows =
         jbuild_right ? build_rows : probe_rows;
-    size_t out_n = probe_rows.size();
-    auto out = std::make_shared<Table>();
-    auto gather_side = [&](const Table& side,
-                           const std::vector<uint32_t>& rows) {
-      for (ColId c : side.schema()) {
-        const Column& src = side.col(c);
-        Column col(out_n);
-        for (size_t k = 0; k < out_n; ++k) col[k] = src[rows[k]];
-        out->AddColumn(c, std::move(col));
-      }
-    };
-    gather_side(*lT, l_rows);
-    gather_side(*rT, r_rows);
-    out->SetRows(out_n);
-    return out;
+    return GatherPairs(*lT, l_rows, *rT, r_rows, /*parallel=*/false,
+                       needed[0]);
   };
 
   auto run_morsel = [&](size_t m) {
@@ -936,6 +1316,7 @@ Result<TablePtr> Evaluator::EvalPipeline(
       size_t e = si == 0 ? me : cur->rows();
       Clock::time_point t0;
       if (prof) t0 = Clock::now();
+      uint64_t fallback = 0;
       Result<std::shared_ptr<Table>> r =
           [&]() -> Result<std::shared_ptr<Table>> {
         switch (op.kind) {
@@ -950,7 +1331,8 @@ Result<TablePtr> Evaluator::EvalPipeline(
           case OpKind::kEquiJoin:
             return equi_probe(b, e);
           case OpKind::kThetaJoin:
-            return StageThetaM(op, *in, b, e, *ext[si][1]);
+            return StageThetaM(op, *in, b, e, *theta[si], needed[si],
+                               &fallback);
           case OpKind::kStep: {
             Status st =
                 StageStepM(op, *in, b, e, &mo.step_iters, &mo.step_nodes);
@@ -977,6 +1359,7 @@ Result<TablePtr> Evaluator::EvalPipeline(
       if (prof) {
         size_t slot = m * nstages + si;
         st_ms[slot] = MsSince(t0);
+        st_fallback[slot] = fallback;
         if (si > 0) st_in[slot] = e - b;
         st_out[slot] = step_sink && si + 1 == nstages ? mo.step_iters.size()
                                                       : cur->rows();
@@ -1109,7 +1492,7 @@ Result<TablePtr> Evaluator::EvalPipeline(
       m.pipeline = static_cast<int64_t>(pidx);
       m.chunks = morsels;
       m.queue_ms = 0;  // queue wait belongs to the unit, counted once
-      double ms = 0;
+      double ms = setup_ms[si];
       size_t irows = 0;
       size_t orows = 0;
       for (size_t mm = 0; mm < morsels; ++mm) {
@@ -1117,6 +1500,7 @@ Result<TablePtr> Evaluator::EvalPipeline(
         ms += st_ms[slot];
         irows += st_in[slot];
         orows += st_out[slot];
+        m.theta_fallback_pairs += st_fallback[slot];
       }
       // Materialized (non-pipe) inputs count once, as standalone
       // evaluation would; the streamed input was summed per morsel.
@@ -1215,47 +1599,15 @@ std::shared_ptr<Table> Evaluator::StageUnionM(const Table& l, const Table& r,
   return out;
 }
 
-Result<std::shared_ptr<Table>> Evaluator::StageThetaM(const Op& op,
-                                                      const Table& in,
-                                                      size_t b, size_t e,
-                                                      const Table& right) {
-  // Nested loop over [b, e) x right, left-major with matches in
-  // right-row order — the standalone kernel's chunk body.
-  const Column& lk = in.col(op.col);
-  const Column& rk = right.col(op.col2);
-  size_t m = right.rows();
+Result<std::shared_ptr<Table>> Evaluator::StageThetaM(
+    const Op& op, const Table& in, size_t b, size_t e, const ThetaBuild& build,
+    const std::vector<ColId>* only, uint64_t* fallback_pairs) {
   std::vector<uint32_t> l_rows;
   std::vector<uint32_t> r_rows;
-  size_t pairs = 0;
-  for (size_t i = b; i < e; ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      // Pair-volume poll (EvalRange's output-volume idiom): one morsel's
-      // work is morsel_rows * m pairs, not morsel_rows.
-      if ((pairs++ & 0xFFFF) == 0xFFFF) {
-        EXRQUY_RETURN_IF_ERROR(PollGovernor());
-      }
-      Result<Value> v = ops_.Compare(op.fun, lk[i], rk[j]);
-      if (!v.ok()) return v.status();
-      if (v.value().b) {
-        l_rows.push_back(static_cast<uint32_t>(i));
-        r_rows.push_back(static_cast<uint32_t>(j));
-      }
-    }
-  }
-  size_t out_n = l_rows.size();
-  auto out = std::make_shared<Table>();
-  auto gather_side = [&](const Table& side, const std::vector<uint32_t>& rows) {
-    for (ColId c : side.schema()) {
-      const Column& src = side.col(c);
-      Column col(out_n);
-      for (size_t k = 0; k < out_n; ++k) col[k] = src[rows[k]];
-      out->AddColumn(c, std::move(col));
-    }
-  };
-  gather_side(in, l_rows);
-  gather_side(right, r_rows);
-  out->SetRows(out_n);
-  return out;
+  EXRQUY_RETURN_IF_ERROR(ThetaRange(op, in.col(op.col), b, e, build, &l_rows,
+                                    &r_rows, fallback_pairs));
+  return GatherPairs(in, l_rows, build.table, r_rows, /*parallel=*/false,
+                     only);
 }
 
 Status Evaluator::StageStepM(const Op& op, const Table& in, size_t b, size_t e,
@@ -1312,6 +1664,12 @@ TablePtr Evaluator::GatherParallel(const Table& in,
                                    const std::vector<uint32_t>& rows) {
   size_t n = rows.size();
   auto out = std::make_shared<Table>();
+  if (n == in.rows()) {
+    // Ascending rows that keep every row are the identity: share.
+    for (ColId c : in.schema()) out->AddColumn(c, in.col_ptr(c));
+    out->SetRows(n);
+    return out;
+  }
   for (ColId c : in.schema()) {
     const Column& src = in.col(c);
     Column col(n);
@@ -1320,6 +1678,39 @@ TablePtr Evaluator::GatherParallel(const Table& in,
     });
     out->AddColumn(c, std::move(col));
   }
+  out->SetRows(n);
+  return out;
+}
+
+std::shared_ptr<Table> Evaluator::GatherPairs(
+    const Table& l, const std::vector<uint32_t>& l_rows, const Table& r,
+    const std::vector<uint32_t>& r_rows, bool parallel,
+    const std::vector<ColId>* only) {
+  size_t n = l_rows.size();
+  auto out = std::make_shared<Table>();
+  auto gather_side = [&](const Table& side,
+                         const std::vector<uint32_t>& rows) {
+    for (ColId c : side.schema()) {
+      if (only != nullptr &&
+          std::find(only->begin(), only->end(), c) == only->end()) {
+        continue;
+      }
+      const Column& src = side.col(c);
+      Column col;
+      if (parallel) {
+        col.resize(n);
+        ForChunks(n, [&](size_t, size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) col[i] = src[rows[i]];
+        });
+      } else {
+        col.reserve(n);  // one write per value, not zero-fill then copy
+        for (uint32_t row : rows) col.push_back(src[row]);
+      }
+      out->AddColumn(c, std::move(col));
+    }
+  };
+  gather_side(l, l_rows);
+  gather_side(r, r_rows);
   out->SetRows(n);
   return out;
 }
@@ -1530,100 +1921,52 @@ Result<TablePtr> Evaluator::EvalEquiJoin(const Op& op, const Table& l,
   // A value join's keys are item values where xs:string and
   // xs:untypedAtomic must hash alike (see NormalizeValueKey); scaffolding
   // joins keep bit-exact keys.
-  RowIndex index({&build.col(build_col)}, build.rows(), op.value_join);
+  RowGroups index({&build.col(build_col)}, build.rows(), op.value_join,
+                  /*member_rows=*/true);
   std::vector<const Column*> probe_key = {&probe.col(probe_col)};
   size_t n = probe.rows();
   std::vector<std::vector<uint32_t>> probe_parts(NumChunks(n));
   std::vector<std::vector<uint32_t>> build_parts(probe_parts.size());
   ForChunks(n, [&](size_t c, size_t begin, size_t end) {
-    for (size_t pr = begin; pr < end; ++pr) {
-      index.ForEachMatch(probe_key, pr, [&](uint32_t br) {
-        probe_parts[c].push_back(static_cast<uint32_t>(pr));
+    index.Probe(probe_key, begin, end, [&](uint32_t pr, uint32_t g) {
+      for (uint32_t br : index.rows(g)) {
+        probe_parts[c].push_back(pr);
         build_parts[c].push_back(br);
-      });
-    }
+      }
+    });
   });
   std::vector<uint32_t> probe_rows = ConcatChunks(probe_parts);
   std::vector<uint32_t> build_rows = ConcatChunks(build_parts);
   const std::vector<uint32_t>& l_rows = build_right ? probe_rows : build_rows;
   const std::vector<uint32_t>& r_rows = build_right ? build_rows : probe_rows;
 
-  size_t out_n = probe_rows.size();
-  auto out = std::make_shared<Table>();
-  auto gather_side = [&](const Table& side,
-                         const std::vector<uint32_t>& rows) {
-    for (ColId c : side.schema()) {
-      const Column& src = side.col(c);
-      Column col(out_n);
-      ForChunks(out_n, [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) col[i] = src[rows[i]];
-      });
-      out->AddColumn(c, std::move(col));
-    }
-  };
-  gather_side(l, l_rows);
-  gather_side(r, r_rows);
-  out->SetRows(out_n);
-  return out;
+  return GatherPairs(l, l_rows, r, r_rows, /*parallel=*/true);
 }
 
 Result<TablePtr> Evaluator::EvalThetaJoin(const Op& op, const Table& l,
                                           const Table& r) {
-  // Nested-loop join under a general comparison. The probe side is
-  // always the left input and the output is left-major with matches in
-  // right-row order — chunk boundaries depend only on l.rows(), so the
-  // result is byte-identical to a serial nested loop at any thread
-  // count. Comparison errors latch per chunk and resolve in chunk order
-  // (first error a serial scan would hit), as in EvalFun.
+  // The probe side is always the left input, chunked by left rows; each
+  // chunk runs the one range body (ThetaRange), and chunks concatenate
+  // in order — left-major with matches in right-row order, byte-identical
+  // to a serial nested loop at any thread count. Errors latch per chunk
+  // and resolve in chunk order (the first error a serial scan would hit).
   const Column& lk = l.col(op.col);
-  const Column& rk = r.col(op.col2);
-  size_t n = l.rows();
-  size_t m = r.rows();
-  std::vector<std::vector<uint32_t>> l_parts(NumChunks(n));
-  std::vector<std::vector<uint32_t>> r_parts(l_parts.size());
-  std::vector<Status> errs(l_parts.size());
-  ForChunks(n, [&](size_t c, size_t begin, size_t end) {
-    size_t pairs = 0;
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t j = 0; j < m; ++j) {
-        // One chunk's work is chunk_rows * m pairs, not chunk_rows — poll
-        // on pair volume so a cancel/deadline lands promptly (EvalRange's
-        // output-volume idiom).
-        if ((pairs++ & 0xFFFF) == 0xFFFF && !PollGovernor().ok()) return;
-        Result<Value> v = ops_.Compare(op.fun, lk[i], rk[j]);
-        if (!v.ok()) {
-          errs[c] = v.status();
-          return;
-        }
-        if (v.value().b) {
-          l_parts[c].push_back(static_cast<uint32_t>(i));
-          r_parts[c].push_back(static_cast<uint32_t>(j));
-        }
-      }
-    }
+  ThetaBuild build(r, op.col2, ops_);
+  size_t chunks = NumChunks(l.rows());
+  std::vector<std::vector<uint32_t>> l_parts(chunks);
+  std::vector<std::vector<uint32_t>> r_parts(chunks);
+  std::vector<uint64_t> fallback(chunks, 0);
+  std::vector<Status> errs(chunks);
+  ForChunks(l.rows(), [&](size_t c, size_t begin, size_t end) {
+    errs[c] = ThetaRange(op, lk, begin, end, build, &l_parts[c], &r_parts[c],
+                         &fallback[c]);
   });
   for (const Status& st : errs) {
     if (!st.ok()) return st;
   }
-  std::vector<uint32_t> l_rows = ConcatChunks(l_parts);
-  std::vector<uint32_t> r_rows = ConcatChunks(r_parts);
-  size_t out_n = l_rows.size();
-  auto out = std::make_shared<Table>();
-  auto gather_side = [&](const Table& side,
-                         const std::vector<uint32_t>& rows) {
-    for (ColId c : side.schema()) {
-      const Column& src = side.col(c);
-      Column col(out_n);
-      ForChunks(out_n, [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) col[i] = src[rows[i]];
-      });
-      out->AddColumn(c, std::move(col));
-    }
-  };
-  gather_side(l, l_rows);
-  gather_side(r, r_rows);
-  out->SetRows(out_n);
-  return out;
+  for (uint64_t f : fallback) NoteThetaFallback(f);
+  return GatherPairs(l, ConcatChunks(l_parts), r, ConcatChunks(r_parts),
+                     /*parallel=*/true);
 }
 
 Result<TablePtr> Evaluator::EvalCross(const Op& op, const Table& l,
@@ -1681,14 +2024,18 @@ Result<TablePtr> Evaluator::EvalUnion(const Op& op, const Table& l,
 
 Result<TablePtr> Evaluator::EvalDiffSemi(const Op& op, const Table& l,
                                          const Table& r) {
-  RowIndex index(ColPtrs(r, op.keys), r.rows());
+  RowGroups index(ColPtrs(r, op.keys), r.rows(), /*normalize_keys=*/false,
+                  /*member_rows=*/false);
   std::vector<const Column*> probe = ColPtrs(l, op.keys);
   bool keep_matching = op.kind == OpKind::kSemiJoin;
   size_t n = l.rows();
   std::vector<std::vector<uint32_t>> parts(NumChunks(n));
   ForChunks(n, [&](size_t c, size_t begin, size_t end) {
+    std::vector<uint8_t> matched(end - begin, 0);
+    index.Probe(probe, begin, end,
+                [&](uint32_t i, uint32_t) { matched[i - begin] = 1; });
     for (size_t i = begin; i < end; ++i) {
-      if (index.Contains(probe, i) == keep_matching) {
+      if ((matched[i - begin] != 0) == keep_matching) {
         parts[c].push_back(static_cast<uint32_t>(i));
       }
     }
@@ -1698,25 +2045,11 @@ Result<TablePtr> Evaluator::EvalDiffSemi(const Op& op, const Table& l,
 
 Result<TablePtr> Evaluator::EvalDistinct(const Op& op, const Table& in) {
   (void)op;
-  std::vector<const Column*> cols = ColPtrs(in, in.schema());
-  std::vector<std::vector<uint32_t>> buckets(
-      std::max<size_t>(16, in.rows() * 2));
-  std::vector<uint32_t> rows;
-  for (size_t r = 0; r < in.rows(); ++r) {
-    size_t b = RowHash(cols, r) % buckets.size();
-    bool dup = false;
-    for (uint32_t prev : buckets[b]) {
-      if (RowEquals(cols, prev, cols, r)) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      buckets[b].push_back(static_cast<uint32_t>(r));
-      rows.push_back(static_cast<uint32_t>(r));
-    }
-  }
-  return GatherParallel(in, rows);
+  // Each group's first row, ascending: first appearance wins, so the
+  // output keeps input order.
+  RowGroups groups(ColPtrs(in, in.schema()), in.rows(),
+                   /*normalize_keys=*/false, /*member_rows=*/false);
+  return GatherParallel(in, groups.reps());
 }
 
 Result<TablePtr> Evaluator::EvalRowNum(const Op& op, const Table& in) {
@@ -1998,36 +2331,17 @@ Result<TablePtr> Evaluator::EvalFun(const Op& op, const Table& in) {
 
 Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
   // Group rows by the partition column (first-appearance order keeps the
-  // output deterministic).
-  std::vector<std::vector<uint32_t>> groups;
-  std::vector<uint32_t> group_rep;  // representative row per group
-  if (op.part == kNoCol) {
-    groups.emplace_back(in.rows());
-    std::iota(groups[0].begin(), groups[0].end(), 0);
-    group_rep.push_back(0);
+  // output deterministic); without one, every row is in the one group.
+  std::optional<RowGroups> groups;
+  std::vector<uint32_t> all_rows;
+  if (op.part != kNoCol) {
+    groups.emplace(std::vector<const Column*>{&in.col(op.part)}, in.rows(),
+                   /*normalize_keys=*/false, /*member_rows=*/true);
   } else {
-    const Column& part = in.col(op.part);
-    std::vector<const Column*> key = {&part};
-    std::vector<std::vector<uint32_t>> buckets(
-        std::max<size_t>(16, in.rows() * 2));
-    for (size_t r = 0; r < in.rows(); ++r) {
-      size_t b = RowHash(key, r) % buckets.size();
-      int64_t found = -1;
-      for (uint32_t g : buckets[b]) {
-        if (part[group_rep[g]] == part[r]) {
-          found = g;
-          break;
-        }
-      }
-      if (found < 0) {
-        found = static_cast<int64_t>(groups.size());
-        groups.emplace_back();
-        group_rep.push_back(static_cast<uint32_t>(r));
-        buckets[b].push_back(static_cast<uint32_t>(found));
-      }
-      groups[found].push_back(static_cast<uint32_t>(r));
-    }
+    all_rows.resize(in.rows());
+    std::iota(all_rows.begin(), all_rows.end(), 0);
   }
+  const size_t ngroups = groups ? groups->size() : 1;
 
   const Column* arg =
       op.aggr == AggrKind::kCount ? nullptr : &in.col(op.col2);
@@ -2036,8 +2350,9 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
 
   Column part_out;
   Column result;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const std::vector<uint32_t>& rows = groups[g];
+  for (size_t g = 0; g < ngroups; ++g) {
+    std::span<const uint32_t> rows =
+        groups ? groups->rows(g) : std::span<const uint32_t>(all_rows);
     Value v;
     switch (op.aggr) {
       case AggrKind::kCount:
@@ -2109,7 +2424,7 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
         break;
       }
       case AggrKind::kStrJoin: {
-        std::vector<uint32_t> sorted = rows;
+        std::vector<uint32_t> sorted(rows.begin(), rows.end());
         if (order != nullptr) {
           std::stable_sort(sorted.begin(), sorted.end(),
                            [&](uint32_t a, uint32_t b) {
@@ -2129,7 +2444,7 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
       }
     }
     if (op.part != kNoCol) {
-      part_out.push_back(in.col(op.part)[group_rep[g]]);
+      part_out.push_back(in.col(op.part)[groups->reps()[g]]);
     }
     result.push_back(v);
   }
@@ -2137,7 +2452,7 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
   auto out = std::make_shared<Table>();
   if (op.part != kNoCol) out->AddColumn(op.part, std::move(part_out));
   out->AddColumn(op.col, std::move(result));
-  out->SetRows(groups.size());
+  out->SetRows(ngroups);
   return out;
 }
 

@@ -129,7 +129,8 @@ class Evaluator {
   Result<TablePtr> Eval(OpId root);
 
  private:
-  struct Sched;  // per-Eval scheduler state (eval.cc)
+  struct Sched;       // per-Eval scheduler state (eval.cc)
+  struct ThetaBuild;  // a ThetaJoin's prepared build side (eval.cc)
 
   // -- Governor (cancel/deadline/budget/faults) ----------------------------
   // Latches the first trip status; later trips are ignored.
@@ -190,7 +191,9 @@ class Evaluator {
                                      size_t e);
   Result<std::shared_ptr<Table>> StageThetaM(const Op& op, const Table& in,
                                              size_t b, size_t e,
-                                             const Table& right);
+                                             const ThetaBuild& build,
+                                             const std::vector<ColId>* only,
+                                             uint64_t* fallback_pairs);
   Status StageStepM(const Op& op, const Table& in, size_t b, size_t e,
                     std::vector<int64_t>* out_iters,
                     std::vector<NodeIdx>* out_nodes);
@@ -206,8 +209,27 @@ class Evaluator {
   size_t ForChunks(size_t n,
                    const std::function<void(size_t, size_t, size_t)>& fn);
   size_t NumChunks(size_t n) const;
-  // Materializes the given rows of `in`, chunk-parallel per column.
+  // Materializes the given rows of `in` (ascending), chunk-parallel per
+  // column; when they are all of `in`'s rows, shares its columns.
   TablePtr GatherParallel(const Table& in, const std::vector<uint32_t>& rows);
+  // Materializes join output: row k pairs l_rows[k] of `l` with r_rows[k]
+  // of `r`, restricted to the columns in `only` when it is non-null.
+  // `parallel` chunks each column over the pool (standalone kernels);
+  // morsel stages gather serially inside their morsel task.
+  std::shared_ptr<Table> GatherPairs(const Table& l,
+                                     const std::vector<uint32_t>& l_rows,
+                                     const Table& r,
+                                     const std::vector<uint32_t>& r_rows,
+                                     bool parallel,
+                                     const std::vector<ColId>* only = nullptr);
+  // The one ThetaJoin range body, shared by the standalone kernel's
+  // chunks and the morsel stage: appends the matching pairs of probe
+  // rows [b, e) (keys `lk`) against every build row, left-major with
+  // matches in build-row order, and adds the pairs it had to decide by
+  // per-pair ValueOps::Compare to *fallback_pairs.
+  Status ThetaRange(const Op& op, const Column& lk, size_t b, size_t e,
+                    const ThetaBuild& build, std::vector<uint32_t>* l_rows,
+                    std::vector<uint32_t>* r_rows, uint64_t* fallback_pairs);
   // Chunked stable sort: sorts each chunk, then stably merges chunk pairs
   // — byte-identical to std::stable_sort over the whole range.
   void ParallelStableSort(

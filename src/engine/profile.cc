@@ -193,10 +193,16 @@ std::string Profile::ToJson() const {
     AppendNumber(m.queue_ms, &out);
     std::snprintf(buf, sizeof(buf),
                   ", \"in_rows\": %zu, \"out_rows\": %zu, \"chunks\": %zu, "
-                  "\"pipeline\": %lld}",
+                  "\"pipeline\": %lld",
                   m.in_rows, m.out_rows, m.chunks,
                   static_cast<long long>(m.pipeline));
     out += buf;
+    if (m.kind == "ThetaJoin") {
+      std::snprintf(buf, sizeof(buf), ", \"theta_fallback_pairs\": %llu",
+                    static_cast<unsigned long long>(m.theta_fallback_pairs));
+      out += buf;
+    }
+    out += '}';
     out += i + 1 < records.size() ? ",\n" : "\n";
   }
   out += "  ],\n  \"pipelines\": [\n";

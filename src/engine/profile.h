@@ -48,6 +48,9 @@ class Profile {
     // ran standalone. Fused stages report per-morsel-summed wall time
     // and exact row counts, but no queue wait of their own.
     int64_t pipeline = -1;
+    // ThetaJoin only: pairs decided by the per-pair ValueOps::Compare
+    // fallback instead of the typed-key scan (engine/eval.cc ThetaRange).
+    uint64_t theta_fallback_pairs = 0;
   };
 
   // One fused pipeline (morsel-driven execution, opt/morsel_plan.h).

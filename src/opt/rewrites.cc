@@ -443,6 +443,9 @@ class Rewriter {
       }
 
       case OpKind::kRowNum: {
+        // A copy: the attempts below grow the dag, and a reference into
+        // its op vector dangles once it reallocates.
+        const Op op = dag_->op(id);
         OpId c = Child(op, 0);
         if (options_.column_pruning && required.count(op.col) == 0) {
           RewriteCertificate cert =

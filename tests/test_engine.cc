@@ -1,8 +1,18 @@
 // Operator-level tests for the columnar engine: every algebra operator
 // evaluated on small literal tables, including the % / # primitives, the
 // grouped aggregates (with the EBV and order-sensitive string-join
-// cases), joins, set operations, and node constructors.
+// cases), joins, set operations, and node constructors. The ThetaJoin
+// typed-key kernel is checked pair for pair (and first error for first
+// error) against a per-pair ValueOps::Compare reference in every
+// execution shape, and the hash kernels against their documented
+// first-appearance and ascending-row orders.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "algebra/algebra.h"
 #include "engine/eval.h"
@@ -412,6 +422,445 @@ TEST_F(EngineTest, SharedSubplanEvaluatedOnce) {
   EXPECT_EQ(t->rows(), 2u);
   EXPECT_EQ(profile.by_kind().at("RowId").ops, 1u);  // shared, not twice
   ctx_.profile = nullptr;
+}
+
+// -- ThetaJoin: the typed-key kernel against per-pair Compare -------------
+
+// Execution shapes and granularities the one ThetaJoin range body must be
+// indistinguishable under: the standalone chunked kernel, and the morsel
+// stage both as a pipeline's head and fed by an upstream stage.
+enum class ThetaShape { kStandalone, kPipelineHead, kPipelineInterior };
+
+struct ThetaConfig {
+  ThetaShape shape;
+  size_t rows;  // chunk_rows (standalone) or morsel_rows (pipelines)
+  int threads;
+};
+
+std::vector<ThetaConfig> ThetaConfigs() {
+  std::vector<ThetaConfig> out;
+  for (ThetaShape shape : {ThetaShape::kStandalone, ThetaShape::kPipelineHead,
+                           ThetaShape::kPipelineInterior}) {
+    for (size_t rows : {size_t{1}, size_t{64}, size_t{65536}}) {
+      for (int threads : {1, 4}) out.push_back({shape, rows, threads});
+    }
+  }
+  return out;
+}
+
+std::string ConfigName(const ThetaConfig& c) {
+  const char* shape = c.shape == ThetaShape::kStandalone     ? "standalone"
+                      : c.shape == ThetaShape::kPipelineHead ? "head"
+                                                             : "interior";
+  return std::string(shape) + "/rows=" + std::to_string(c.rows) +
+         "/threads=" + std::to_string(c.threads);
+}
+
+constexpr FunKind kRelations[] = {FunKind::kEq, FunKind::kNe, FunKind::kLt,
+                                  FunKind::kLe, FunKind::kGt, FunKind::kGe};
+
+class ThetaJoinTest : public EngineTest {
+ protected:
+  using Pairs = std::vector<std::pair<int64_t, int64_t>>;
+
+  Value U(const char* s) { return Value::Untyped(strings_.Intern(s)); }
+  Value S(const char* s) { return Value::Str(strings_.Intern(s)); }
+
+  // The reference: a left-major nested loop of ValueOps::Compare, stopping
+  // at the first failing pair.
+  Result<Pairs> Reference(FunKind f, const std::vector<Value>& l,
+                          const std::vector<Value>& r) {
+    ValueOps ops(&strings_, &store_);
+    Pairs out;
+    for (size_t i = 0; i < l.size(); ++i) {
+      for (size_t j = 0; j < r.size(); ++j) {
+        Result<Value> v = ops.Compare(f, l[i], r[j]);
+        if (!v.ok()) return v.status();
+        if (v->b) out.emplace_back(i, j);
+      }
+    }
+    return out;
+  }
+
+  // Joins (iter = row, item = key) tables under `c`; returns the (left
+  // row, right row) pairs in output order, and the kernel's fallback
+  // pair count.
+  Result<Pairs> Run(FunKind f, const std::vector<Value>& l,
+                    const std::vector<Value>& r, const ThetaConfig& c,
+                    uint64_t* fallback) {
+    const ColId riter = ColSym("theta_riter");
+    const ColId ritem = ColSym("theta_ritem");
+    Dag dag;
+    auto lit = [&](const std::vector<Value>& keys, ColId id, ColId key) {
+      LitTable t;
+      t.cols = {id, key};
+      for (size_t i = 0; i < keys.size(); ++i) {
+        t.rows.push_back({Value::Int(static_cast<int64_t>(i)), keys[i]});
+      }
+      return dag.Lit(std::move(t));
+    };
+    OpId left = lit(l, iter(), item());
+    OpId right = lit(r, riter, ritem);
+    OpId root;
+    if (c.shape == ThetaShape::kPipelineInterior) {
+      OpId fed = dag.Project(left, {{iter(), iter()}, {item(), item()}});
+      root = dag.ThetaJoin(fed, right, item(), f, ritem);
+    } else {
+      root = dag.ThetaJoin(left, right, item(), f, ritem);
+      if (c.shape == ThetaShape::kPipelineHead) {
+        // The stage then gathers only the columns the Project reads.
+        root = dag.Project(root, {{iter(), iter()}, {riter, riter}});
+      }
+    }
+    Profile profile;
+    EvalContext ctx;
+    ctx.store = &store_;
+    ctx.strings = &strings_;
+    ctx.profile = &profile;
+    ctx.num_threads = c.threads;
+    ctx.pipelined_execution = c.shape != ThetaShape::kStandalone;
+    ctx.chunk_rows = c.rows;
+    ctx.morsel_rows = c.rows;
+    Evaluator ev(dag, &ctx);
+    Result<TablePtr> t = ev.Eval(root);
+    if (!t.ok()) return t.status();
+    *fallback = 0;
+    bool ran = false;
+    for (const Profile::OpMetrics& m : profile.ops()) {
+      if (m.kind != "ThetaJoin") continue;
+      ran = true;
+      *fallback += m.theta_fallback_pairs;
+      EXPECT_EQ(m.pipeline >= 0, c.shape != ThetaShape::kStandalone)
+          << ConfigName(c);
+    }
+    EXPECT_TRUE(ran) << ConfigName(c);
+    Pairs out;
+    out.reserve((*t)->rows());
+    for (size_t k = 0; k < (*t)->rows(); ++k) {
+      out.emplace_back((*t)->at(iter(), k).i, (*t)->at(riter, k).i);
+    }
+    return out;
+  }
+
+  // Every relation under every configuration matches the reference —
+  // the same pairs in the same order, or the same first error. `typed`
+  // says whether the keys have one comparison domain (no fallback);
+  // otherwise a range spanning the whole left side must fall back.
+  void ExpectMatchesReference(const std::vector<Value>& l,
+                              const std::vector<Value>& r, bool typed) {
+    for (FunKind f : kRelations) {
+      Result<Pairs> want = Reference(f, l, r);
+      for (const ThetaConfig& c : ThetaConfigs()) {
+        uint64_t fallback = 0;
+        Result<Pairs> got = Run(f, l, r, c, &fallback);
+        std::string where = std::string(FunKindName(f)) + " " + ConfigName(c);
+        ASSERT_EQ(got.ok(), want.ok()) << where << ": "
+                                       << got.status().ToString() << " vs "
+                                       << want.status().ToString();
+        if (!want.ok()) {
+          EXPECT_EQ(got.status().ToString(), want.status().ToString())
+              << where;
+          continue;
+        }
+        EXPECT_EQ(*got, *want) << where;
+        if (typed) {
+          EXPECT_EQ(fallback, 0u) << where;
+        } else if (!l.empty() && !r.empty() && c.rows >= l.size()) {
+          // The domain is chosen per probe range: ranges narrower than
+          // the left side may each find one.
+          EXPECT_GT(fallback, 0u) << where;
+        }
+      }
+    }
+  }
+};
+
+TEST_F(ThetaJoinTest, IntIntIsExactBeyondTwoToThe53) {
+  // 2^53 and 2^53 + 1 are distinct ints but the same double: an int
+  // compare and a double compare disagree on them.
+  const int64_t p53 = int64_t{1} << 53;
+  ExpectMatchesReference(
+      {Value::Int(p53 + 1), Value::Int(p53), Value::Int(-5), Value::Int(0),
+       Value::Int(INT64_MAX), Value::Int(p53 + 1)},
+      {Value::Int(p53), Value::Int(p53 + 1), Value::Int(3), Value::Int(0),
+       Value::Int(INT64_MIN)},
+      /*typed=*/true);
+}
+
+TEST_F(ThetaJoinTest, IntDoubleAndUntypedNumeric) {
+  ExpectMatchesReference(
+      {Value::Int(1), Value::Int(3), Value::Int(-2), Value::Int(3)},
+      {Value::Double(2.5), Value::Double(3.0), Value::Double(-0.0),
+       Value::Double(1.0)},
+      /*typed=*/true);
+  // Untyped values cast to xs:double against numbers, on either side.
+  ExpectMatchesReference({U("1.5"), U(" 2 "), U("10"), U("1e3"), U("2")},
+                         {Value::Double(2.0), Value::Double(1.5)},
+                         /*typed=*/true);
+  ExpectMatchesReference({U("3"), U("-1"), U("7.25")},
+                         {Value::Int(3), Value::Int(7), Value::Int(-1)},
+                         /*typed=*/true);
+  ExpectMatchesReference({Value::Int(3), Value::Double(0.5)},
+                         {U("3"), U("0.5"), U("12")}, /*typed=*/true);
+}
+
+TEST_F(ThetaJoinTest, MixedIntDoubleBeyondTwoToThe53FallsBack) {
+  // Int-int pairs must compare exactly, int-double pairs as doubles: no
+  // single key domain holds both once ints exceed 2^53.
+  const int64_t p53 = int64_t{1} << 53;
+  ExpectMatchesReference({Value::Int(p53 + 1), Value::Double(1.5)},
+                         {Value::Int(p53), Value::Double(9e15)},
+                         /*typed=*/false);
+  // Small ints survive the double cast, so the same mix stays typed.
+  ExpectMatchesReference({Value::Int(4), Value::Double(1.5)},
+                         {Value::Int(4), Value::Double(4.0), Value::Int(1)},
+                         /*typed=*/true);
+}
+
+TEST_F(ThetaJoinTest, StringClassKeysCompareAsStrings) {
+  ExpectMatchesReference({U("b"), U("a"), U("10"), U("9"), U("a"), U("")},
+                         {U("a"), U("10"), U("c"), U("")}, /*typed=*/true);
+  ExpectMatchesReference({S("pear"), S("apple"), S("fig")},
+                         {S("fig"), S("banana"), S("zebra"), S("apple")},
+                         /*typed=*/true);
+  ExpectMatchesReference({S("b"), U("b"), S("a")}, {U("b"), S("a"), U("c")},
+                         /*typed=*/true);
+}
+
+TEST_F(ThetaJoinTest, BoolKeys) {
+  ExpectMatchesReference(
+      {Value::Bool(true), Value::Bool(false), Value::Bool(true)},
+      {Value::Bool(false), Value::Bool(true)}, /*typed=*/true);
+}
+
+TEST_F(ThetaJoinTest, NanInfinitiesAndEmptySides) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExpectMatchesReference(
+      {Value::Double(nan), Value::Double(inf), Value::Double(-inf),
+       Value::Double(0), Value::Int(1)},
+      {Value::Double(nan), Value::Double(inf), Value::Double(-inf),
+       Value::Int(1)},
+      /*typed=*/true);
+  ExpectMatchesReference({U("NaN"), U("INF"), U("-INF")},
+                         {Value::Double(inf), Value::Int(0)}, /*typed=*/true);
+  ExpectMatchesReference({}, {Value::Int(1), U("x")}, /*typed=*/true);
+  ExpectMatchesReference({Value::Int(1), S("x")}, {}, /*typed=*/true);
+}
+
+TEST_F(ThetaJoinTest, MixedDomainsFallBackPerPair) {
+  // Untyped-untyped pairs compare as strings, int-untyped pairs as
+  // numbers: the left side has no single domain against untyped keys.
+  ExpectMatchesReference({U("10"), Value::Int(2), U("9")}, {U("9"), U("3")},
+                         /*typed=*/false);
+}
+
+TEST_F(ThetaJoinTest, ErrorsMatchTheFirstFailingPair) {
+  // An uncastable untyped value on either side, after good pairs.
+  ExpectMatchesReference({U("5"), U("7"), U("abc"), U("9")},
+                         {Value::Int(1), Value::Int(6)}, /*typed=*/true);
+  ExpectMatchesReference({Value::Int(1), Value::Int(2)},
+                         {Value::Int(1), U("zz"), Value::Int(3)},
+                         /*typed=*/true);
+  // A node value and a string-vs-number pair.
+  ExpectMatchesReference({Value::Int(1), Value::Int(2)},
+                         {Value::Int(0), Value::Node(0)}, /*typed=*/true);
+  ExpectMatchesReference({Value::Int(4), S("a")}, {Value::Int(1)},
+                         /*typed=*/true);
+  ExpectMatchesReference({S("a"), S("b")}, {S("a"), Value::Double(1)},
+                         /*typed=*/true);
+}
+
+// -- Hash kernels: first-appearance and ascending-row orders ---------------
+
+class HashKernelOrderTest : public EngineTest {
+ protected:
+  Value U(const char* s) { return Value::Untyped(strings_.Intern(s)); }
+  Value S(const char* s) { return Value::Str(strings_.Intern(s)); }
+
+  OpId Lit(std::vector<ColId> cols, std::vector<std::vector<Value>> rows) {
+    LitTable t;
+    t.cols = std::move(cols);
+    t.rows = std::move(rows);
+    return dag_.Lit(std::move(t));
+  }
+
+  // Evaluates `root` standalone and fused, at several chunk/morsel sizes
+  // and thread counts; every run must produce exactly `want` (columns in
+  // the given order, rows in order).
+  void ExpectTable(OpId root, const std::vector<ColId>& cols,
+                   const std::vector<std::vector<Value>>& want) {
+    for (bool pipelined : {false, true}) {
+      for (size_t rows : {size_t{1}, size_t{3}, size_t{65536}}) {
+        for (int threads : {1, 4}) {
+          ctx_.pipelined_execution = pipelined;
+          ctx_.chunk_rows = rows;
+          ctx_.morsel_rows = rows;
+          ctx_.num_threads = threads;
+          TablePtr t = Eval(root);
+          ASSERT_NE(t, nullptr);
+          ASSERT_EQ(t->rows(), want.size());
+          for (size_t r = 0; r < want.size(); ++r) {
+            for (size_t c = 0; c < cols.size(); ++c) {
+              EXPECT_TRUE(t->at(cols[c], r) == want[r][c])
+                  << "row " << r << " col " << c << " pipelined "
+                  << pipelined << " rows " << rows << " threads " << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // 60 rows of (iter, item) with heavy duplication in both columns.
+  std::vector<std::vector<Value>> DupRows() {
+    std::vector<std::vector<Value>> rows;
+    rows.reserve(60);
+    for (int64_t i = 0; i < 60; ++i) {
+      rows.push_back({Value::Int((i * 7) % 5), Value::Int((i * 3) % 4)});
+    }
+    return rows;
+  }
+};
+
+TEST_F(HashKernelOrderTest, DistinctKeepsFirstAppearance) {
+  std::vector<std::vector<Value>> rows = DupRows();
+  std::vector<std::vector<Value>> want;
+  for (const auto& row : rows) {
+    bool seen = false;
+    for (const auto& w : want) {
+      seen = seen || (w[0] == row[0] && w[1] == row[1]);
+    }
+    if (!seen) want.push_back(row);
+  }
+  ASSERT_LT(want.size(), rows.size());
+  ExpectTable(dag_.Distinct(Lit({iter(), item()}, rows)), {iter(), item()},
+              want);
+}
+
+TEST_F(HashKernelOrderTest, AggrGroupsInFirstAppearanceOrder) {
+  const char* word[] = {"w", "x", "y"};
+  std::vector<std::vector<Value>> rows;
+  rows.reserve(60);
+  for (int64_t i = 0; i < 60; ++i) {
+    rows.push_back({Value::Int((i * 7) % 5), Value::Int(60 - i),
+                    Value::Int(i), S(word[i % 3])});
+  }
+  const ColId sval = ColSym("hk_sval");
+  OpId in = Lit({iter(), pos(), item(), sval}, rows);
+  // Groups by iter in first-appearance order; members ascending by row.
+  std::vector<int64_t> order;
+  std::map<int64_t, std::vector<size_t>> members;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    int64_t g = rows[r][0].i;
+    if (members[g].empty()) order.push_back(g);
+    members[g].push_back(r);
+  }
+  std::vector<std::vector<Value>> counts;
+  std::vector<std::vector<Value>> sums;
+  std::vector<std::vector<Value>> joins;
+  for (int64_t g : order) {
+    int64_t sum = 0;
+    std::vector<size_t> by_pos = members[g];
+    std::stable_sort(by_pos.begin(), by_pos.end(), [&](size_t a, size_t b) {
+      return rows[a][1].i < rows[b][1].i;
+    });
+    std::string joined;
+    for (size_t k = 0; k < by_pos.size(); ++k) {
+      if (k > 0) joined += "-";
+      joined += strings_.Get(rows[by_pos[k]][3].str);
+    }
+    for (size_t r : members[g]) sum += rows[r][2].i;
+    counts.push_back(
+        {Value::Int(g), Value::Int(static_cast<int64_t>(members[g].size()))});
+    sums.push_back({Value::Int(g), Value::Int(sum)});
+    joins.push_back({Value::Int(g), S(joined.c_str())});
+  }
+  const ColId res = ColSym("hk_res");
+  ExpectTable(dag_.Aggr(in, AggrKind::kCount, res, kNoCol, iter()),
+              {iter(), res}, counts);
+  ExpectTable(dag_.Aggr(in, AggrKind::kSum, res, item(), iter()),
+              {iter(), res}, sums);
+  ExpectTable(dag_.AggrStrJoin(in, res, sval, iter(), pos(),
+                               strings_.Intern("-")),
+              {iter(), res}, joins);
+}
+
+TEST_F(HashKernelOrderTest, EquiJoinMatchesInAscendingBuildRows) {
+  const ColId rit = ColSym("hk_rit");
+  const ColId rkey = ColSym("hk_rkey");
+  std::vector<std::vector<Value>> big = DupRows();
+  std::vector<std::vector<Value>> small;
+  small.reserve(12);
+  for (int64_t j = 0; j < 12; ++j) {
+    small.push_back({Value::Int(100 + j), Value::Int(j % 3)});
+  }
+  // The smaller side builds; output follows the probe side's rows, each
+  // probe row's matches in ascending build-row order.
+  auto expect = [&](const std::vector<std::vector<Value>>& l,
+                    const std::vector<std::vector<Value>>& r) {
+    bool build_right = r.size() <= l.size();
+    const auto& probe = build_right ? l : r;
+    const auto& build = build_right ? r : l;
+    std::vector<std::vector<Value>> want;
+    for (const auto& p : probe) {
+      for (const auto& b : build) {
+        if (!(p[1] == b[1])) continue;
+        const auto& lr = build_right ? p : b;
+        const auto& rr = build_right ? b : p;
+        want.push_back({lr[0], lr[1], rr[0], rr[1]});
+      }
+    }
+    OpId j = dag_.EquiJoin(Lit({iter(), item()}, l), Lit({rit, rkey}, r),
+                           item(), rkey);
+    ExpectTable(j, {iter(), item(), rit, rkey}, want);
+    // And as a pipeline head feeding a projection.
+    ExpectTable(dag_.Project(j, {{iter(), iter()}, {rit, rit}}), {iter(), rit},
+                [&] {
+                  std::vector<std::vector<Value>> w;
+                  w.reserve(want.size());
+                  for (const auto& row : want) w.push_back({row[0], row[2]});
+                  return w;
+                }());
+  };
+  expect(big, small);
+  expect(small, big);
+}
+
+TEST_F(HashKernelOrderTest, ValueJoinNormalizesUntypedAndString) {
+  const ColId rit = ColSym("hk_vrit");
+  const ColId rkey = ColSym("hk_vrkey");
+  OpId l = Lit({iter(), item()}, {{Value::Int(1), U("a")},
+                                  {Value::Int(2), S("b")},
+                                  {Value::Int(3), U("b")},
+                                  {Value::Int(4), S("a")},
+                                  {Value::Int(5), U("c")}});
+  OpId r = Lit({rit, rkey}, {{Value::Int(10), S("a")},
+                             {Value::Int(11), U("b")},
+                             {Value::Int(12), U("a")}});
+  // Build right (3 <= 5): left-major, right matches ascending.
+  ExpectTable(dag_.ValueJoin(l, r, item(), rkey), {iter(), rit},
+              {{Value::Int(1), Value::Int(10)},
+               {Value::Int(1), Value::Int(12)},
+               {Value::Int(2), Value::Int(11)},
+               {Value::Int(3), Value::Int(11)},
+               {Value::Int(4), Value::Int(10)},
+               {Value::Int(4), Value::Int(12)}});
+}
+
+TEST_F(HashKernelOrderTest, SemiJoinAndDifferenceKeepLeftOrder) {
+  std::vector<std::vector<Value>> rows = DupRows();
+  OpId l = Lit({iter(), item()}, rows);
+  OpId r = Lit({item()}, {{Value::Int(3)}, {Value::Int(1)}, {Value::Int(3)},
+                          {Value::Int(1)}});
+  std::vector<std::vector<Value>> semi;
+  std::vector<std::vector<Value>> diff;
+  for (const auto& row : rows) {
+    bool hit = row[1].i == 1 || row[1].i == 3;
+    (hit ? semi : diff).push_back(row);
+  }
+  ExpectTable(dag_.SemiJoin(l, r, {item()}), {iter(), item()}, semi);
+  ExpectTable(dag_.Difference(l, r, {item()}), {iter(), item()}, diff);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Join recognition & planning (opt/join_plan.*): the product-space
 // predicate idiom must be lifted into value/theta joins exactly when the
-// proof obligations hold, and never otherwise. Four layers of coverage:
+// proof obligations hold, and never otherwise. Coverage:
 //
 //   * unit recognition over a handcrafted two-table document — equality
 //     and theta predicates, an `and`-conjunction (one join per
@@ -12,9 +12,10 @@
 //   * off-vs-on equivalence across the entire XMark corpus in both
 //     ordering modes at 1 and 4 threads — byte-identical ordered
 //     results, equal multisets unordered;
-//   * governor faults injected through ThetaJoin plans, and a CI
-//     wall-clock guard pinning Q9 under a deadline the retired
-//     product-space plan could not meet.
+//   * governor faults injected through ThetaJoin plans, a guard that
+//     the XMark theta joins run entirely on typed keys (no per-pair
+//     Compare fallback), and a CI wall-clock guard pinning Q9 under a
+//     deadline the retired product-space plan could not meet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -385,6 +386,42 @@ TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaJoin) {
             << context << ": " << again.status().ToString();
         EXPECT_EQ(again->serialized, reference->serialized) << context;
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Typed-key ThetaJoin guard: the XMark theta joins compare untyped
+// @income against numbers, which the kernel casts once per row. A plan
+// or kernel change that hands it keys without one comparison domain
+// would silently bring back the per-pair Compare path; the profile's
+// fallback count catches that deterministically.
+
+TEST(ThetaKernelGuard, XMarkThetaJoinsNeverFallBack) {
+  Session session;
+  XMarkOptions options;
+  options.scale = 0.016;
+  ASSERT_TRUE(
+      session.LoadDocument("auction.xml", GenerateXMark(options)).ok());
+  for (const char* name : {"Q11", "Q12"}) {
+    for (OrderingMode mode :
+         {OrderingMode::kOrdered, OrderingMode::kUnordered}) {
+      QueryOptions o;
+      o.default_ordering = mode;
+      o.profile = true;
+      Result<QueryResult> r = session.Execute(XMarkQueryText(name), o);
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+      size_t thetas = 0;
+      for (const Profile::OpMetrics& m : r->profile.ops()) {
+        if (m.kind != "ThetaJoin") continue;
+        ++thetas;
+        EXPECT_GT(m.out_rows, 0u) << name;
+        EXPECT_EQ(m.theta_fallback_pairs, 0u) << name << " op " << m.op;
+      }
+      EXPECT_GE(thetas, 1u) << name;
+      EXPECT_NE(r->profile.ToJson().find("\"theta_fallback_pairs\": 0"),
+                std::string::npos)
+          << name;
     }
   }
 }

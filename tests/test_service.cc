@@ -219,6 +219,38 @@ TEST(QueryServiceTest, WarmExecuteSkipsCompile) {
   EXPECT_EQ(c.plan_cache.misses, 1u);
 }
 
+// optimize_ms is the optimizer's share of planning: positive and within
+// compile_ms whenever a plan is built (Session, service miss), exactly 0
+// on a plan-cache hit, like compile_ms.
+TEST(QueryServiceTest, OptimizeMsIsPartOfCompileMs) {
+  std::string xml = XMarkXml();
+  const std::string q9 = XMarkQueryText("Q9");
+  Session session;
+  ASSERT_TRUE(session.LoadDocument("auction.xml", xml).ok());
+  Result<QueryResult> direct = session.Execute(q9, QueryOptions());
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_GT(direct->optimize_ms, 0);
+  EXPECT_LE(direct->optimize_ms, direct->compile_ms);
+
+  ServiceConfig config;
+  config.workers = 1;
+  config.plan_cache = 1;
+  config.result_cache_bytes = 0;  // every request reaches the planner path
+  QueryService service(config);
+  ASSERT_TRUE(service.LoadDocument("auction.xml", xml).ok());
+  Result<ServiceResult> cold = service.Execute(q9, QueryOptions());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_FALSE(cold->plan_cache_hit);
+  EXPECT_GT(cold->result.optimize_ms, 0);
+  EXPECT_LE(cold->result.optimize_ms, cold->result.compile_ms);
+
+  Result<ServiceResult> warm = service.Execute(q9, QueryOptions());
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(warm->plan_cache_hit);
+  EXPECT_EQ(warm->result.optimize_ms, 0);
+  EXPECT_EQ(warm->result.compile_ms, 0);
+}
+
 TEST(QueryServiceTest, PlanCacheRespectsOptionFingerprint) {
   ServiceConfig config;
   config.workers = 1;
