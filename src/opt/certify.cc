@@ -1,5 +1,6 @@
 #include "opt/certify.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace exrquy {
@@ -600,10 +601,21 @@ bool CertifyChecker::CheckFamily(RewriteCertificate* cert) {
     if (!cited_scaffold) {
       return Fail(cert, ob, "no scaffold-free fact is cited");
     }
-    // Re-derive the isolation and kind gates for every value join in the
-    // replacement region, independently of what the certificate cites.
+    // Re-scan the whole re-rooted region: it must no longer reach the
+    // product space it retires, and every value join in it must pass the
+    // isolation and kind gates, independently of what the certificate
+    // cites.
+    std::vector<OpId> region = dag_->ReachableFrom(cert->to);
+    for (const CitedFact& f : cert->cited) {
+      if (f.kind != CitedFact::Kind::kStructural) continue;
+      if (std::binary_search(region.begin(), region.end(), f.op)) {
+        return Fail(cert, ob,
+                    "the replacement still reaches the retired product-"
+                    "space numbering op " + std::to_string(f.op));
+      }
+    }
     size_t joins = 0;
-    for (OpId id : dag_->ReachableFrom(cert->to)) {
+    for (OpId id : region) {
       const Op& op = dag_->op(id);
       bool theta = op.kind == OpKind::kThetaJoin;
       bool value_equi = op.kind == OpKind::kEquiJoin && op.value_join;

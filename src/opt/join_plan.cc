@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 
 #include "common/check.h"
 #include "common/symbols.h"
@@ -85,20 +86,57 @@ struct RawPred {
   ColId b_col;
 };
 
+// How a column carrying iteration ids inside a return region relates to
+// its rebuild over the survivors. The rebuild renames S's iterations
+// injectively, preserving their order within each outer iteration (and
+// N's order there only when N is a %), so such a column may serve as a
+// join key, a partition or a sort key, never as a value.
+struct IdCol {
+  OpId dom = kNoOp;        // the numbering that minted the ids (N for S)
+  bool arbitrary = false;  // a # minted them, or a % ordered by such ids
+
+  bool operator==(const IdCol& other) const = default;
+};
+
+// One region operator's shape: which columns carry ids, and whether
+// every row already belongs to a surviving iteration.
+struct RegionShape {
+  bool fixed = false;       // never reaches S: identical in the rebuild
+  bool restricted = false;  // rows only for where-survivors
+  std::map<ColId, IdCol> ids;
+  // Columns holding the outer iteration (map_s's iter1X): values, the
+  // same in the rebuild, and the groups within which ids keep order.
+  ColSet outer;
+};
+
+// Functions whose per-row evaluation cannot raise.
+bool NeverRaises(FunKind f) {
+  switch (f) {
+    case FunKind::kAtomize:
+    case FunKind::kToString:
+    case FunKind::kAnd:
+    case FunKind::kOr:
+    case FunKind::kNot:
+      return true;
+    default:
+      return false;
+  }
+}
+
 class Recognizer {
  public:
-  explicit Recognizer(const Dag& dag) : dag_(dag) {}
+  Recognizer(const Dag& dag, SemTypeTracker* sem) : dag_(dag), sem_(sem) {}
 
   std::map<OpId, JoinSpec> Run(OpId root) {
+    std::vector<OpId> order = dag_.ReachableFrom(root);
+    for (OpId id : order) {
+      OpId n = PaddingSpace(id);
+      if (n != kNoOp) wheres_[n].push_back(id);
+    }
     std::map<OpId, JoinSpec> specs;
-    for (OpId id : dag_.ReachableFrom(root)) {
+    for (OpId id : order) {
       JoinSpec spec;
-      if (MatchAnchor(id, &spec)) {
-        specs.emplace(id, std::move(spec));
-        continue;
-      }
-      spec = JoinSpec();
-      if (MatchReturnAnchor(id, &spec)) specs.emplace(id, std::move(spec));
+      if (MatchFlwor(id, specs, &spec)) specs.emplace(id, std::move(spec));
     }
     return specs;
   }
@@ -122,211 +160,363 @@ class Recognizer {
     return r;
   }
 
-  // The anchor composite re-attaching the surviving S-iterations to the
-  // outer loop:
-  //   π{iter:iter1X[, item]}(⋈ iter=bindX(M, map_s))
-  //   M = π{iter[, item]}(⋈ iter=iterRX(items_s, π{iterRX:iter}(SEL)))
-  bool MatchAnchor(OpId id, JoinSpec* s) {
+  // The FLWOR back-mapping anchor of an inner `for` with a `where`:
+  //   A = π{iter:iter1X, ...}([num](⋈ iter=kb(…(⋈ iter=bindX(B,
+  //       map_s))…, keys)))
+  //   map_s = π{iter1X:iter, bindX:bind}(N)
+  // with zero or more order by key joins above the back-mapping. B, the
+  // keys and A must read S only through the where filter's restricted
+  // scope (RegionWalk). Anchors nesting one recognized earlier in this
+  // scan wait for the next pass, which sees the inner one re-rooted.
+  bool MatchFlwor(OpId id, const std::map<OpId, JoinSpec>& found,
+                  JoinSpec* s) {
     const Op& a = op(id);
     if (a.kind != OpKind::kProject) return false;
     ColId iter1x = ProjOld(a, col::iter());
-    if (iter1x == kNoCol || iter1x == col::item()) return false;
-    if (ProjIs(a, {{col::iter(), iter1x}})) {
-      s->with_item = false;
-    } else if (ProjIs(a, {{col::iter(), iter1x},
-                          {col::item(), col::item()}})) {
-      s->with_item = true;
-    } else {
-      return false;
-    }
-
-    const Op& j2 = op(a.children[0]);
-    if (j2.kind != OpKind::kEquiJoin || j2.value_join) return false;
-    if (j2.col != col::iter()) return false;
-    OpId m_id = j2.children[0];
-    OpId map_id = j2.children[1];
-    ColId bindx = j2.col2;
-
-    // map_s = π{iter1X:iter, bindX:bind}(N), N the bind numbering.
-    const Op& map = op(map_id);
-    if (map.kind != OpKind::kProject) return false;
-    OpId n_id = map.children[0];
-    const Op& n = op(n_id);
-    if (!IsNumbering(n)) return false;
-    if (!ProjIs(map, {{iter1x, col::iter()}, {bindx, n.col}})) return false;
-
-    const Op& m = op(m_id);
-    if (s->with_item) {
-      if (!ProjIs(m, {{col::iter(), col::iter()},
-                      {col::item(), col::item()}})) {
+    if (iter1x == kNoCol || iter1x == col::iter()) return false;
+    OpId cur = a.children[0];
+    if (IsNumbering(op(cur))) cur = op(cur).children[0];
+    for (;;) {
+      const Op& j = op(cur);
+      if (j.kind != OpKind::kEquiJoin || j.value_join ||
+          j.col != col::iter()) {
         return false;
       }
-    } else if (!ProjIs(m, {{col::iter(), col::iter()}})) {
-      return false;
-    }
-    const Op& j1 = op(m.children[0]);
-    if (j1.kind != OpKind::kEquiJoin || j1.value_join) return false;
-    if (j1.col != col::iter()) return false;
-    OpId items_id = j1.children[0];
-    const Op& items = op(items_id);
-    if (items.kind != OpKind::kProject || items.children[0] != n_id ||
-        !ProjIs(items, {{col::iter(), n.col}, {col::item(), col::item()}})) {
-      return false;
-    }
-    const Op& selp = op(j1.children[1]);
-    if (selp.kind != OpKind::kProject ||
-        !ProjIs(selp, {{j1.col2, col::iter()}})) {
-      return false;
-    }
-
-    s->anchor = id;
-    s->items_s = items_id;
-    s->map_s = map_id;
-    s->iter1x = iter1x;
-    s->bindx = bindx;
-
-    std::vector<RawPred> raws;
-    return MatchEbv(selp.children[0], n_id, s, &raws) &&
-           MatchSpace(n_id, s) && ClassifyAll(raws, s);
-  }
-
-  // The semijoin-return composite — a whole inner for-loop whose body
-  // filters by the EBV predicate and returns a constructed element:
-  //   π{iter:iter1X, pos:posX, item}(num(⋈ iter=bindX(
-  //     Elem(content, π{iter}(SEL)), map_s)))
-  //   content = num'(Step*(π{iter,item}(⋈ iter=iterRX(
-  //     X, π{iterRX:iter}(SEL)))))
-  // X is an arbitrary side-shaped companion plan keyed by S-iterations
-  // (e.g. an already-recognized value join). Recognizing the whole
-  // composite lets EmitJoin drop the S-space numbering itself and
-  // renumber only the survivors.
-  bool MatchReturnAnchor(OpId id, JoinSpec* s) {
-    const Op& a = op(id);
-    if (a.kind != OpKind::kProject || a.proj.size() != 3) return false;
-    ColId iter1x = ProjOld(a, col::iter());
-    ColId posx = ProjOld(a, col::pos());
-    if (iter1x == kNoCol || posx == kNoCol ||
-        ProjOld(a, col::item()) != col::item()) {
-      return false;
-    }
-
-    OpId rn_id = a.children[0];
-    const Op& rn = op(rn_id);
-    if (!IsNumbering(rn) || rn.col != posx) return false;
-    if (rn.kind == OpKind::kRowNum &&
-        (rn.part != iter1x ||
-         rn.order != std::vector<SortKey>{{col::iter(), false}})) {
-      return false;
-    }
-
-    const Op& j2 = op(rn.children[0]);
-    if (j2.kind != OpKind::kEquiJoin || j2.value_join ||
-        j2.col != col::iter()) {
-      return false;
-    }
-    OpId e_id = j2.children[0];
-    OpId map_id = j2.children[1];
-    ColId bindx = j2.col2;
-
-    // map_s = π{iter1X:iter, bindX:bind}(N), N the bind numbering.
-    const Op& map = op(map_id);
-    if (map.kind != OpKind::kProject) return false;
-    OpId n_id = map.children[0];
-    const Op& n = op(n_id);
-    if (!IsNumbering(n)) return false;
-    if (!ProjIs(map, {{iter1x, col::iter()}, {bindx, n.col}})) return false;
-
-    const Op& e = op(e_id);
-    if (e.kind != OpKind::kElem) return false;
-    const Op& lp = op(e.children[1]);
-    if (lp.kind != OpKind::kProject ||
-        !ProjIs(lp, {{col::iter(), col::iter()}})) {
-      return false;
-    }
-    OpId sel_id = lp.children[0];
-
-    // Content: a per-iteration numbering over a Step chain over the
-    // survivors' semijoin with X. A RowNum must group by the iteration
-    // and order by value columns only; a RowId is the order-indifference
-    // analysis' license that any deterministic numbering serves.
-    OpId cn_id = e.children[0];
-    const Op& cn = op(cn_id);
-    if (!IsNumbering(cn)) return false;
-    if (cn.kind == OpKind::kRowNum) {
-      if (cn.part != col::iter()) return false;
-      for (const SortKey& k : cn.order) {
-        if (k.col == col::iter()) return false;
+      const Op& m = op(j.children[1]);
+      if (m.kind == OpKind::kProject && IsNumbering(op(m.children[0])) &&
+          ProjIs(m, {{iter1x, col::iter()},
+                     {j.col2, op(m.children[0]).col}})) {
+        s->map_s = j.children[1];
+        s->space_num = m.children[0];
+        s->bindx = j.col2;
+        break;
       }
+      cur = j.children[0];  // an order by key join
     }
-    OpId cur = cn.children[0];
-    std::vector<OpId> csteps;
-    while (op(cur).kind == OpKind::kStep) {
-      csteps.push_back(cur);
-      cur = op(cur).children[0];
-    }
-    std::reverse(csteps.begin(), csteps.end());  // innermost first
-    const Op& pj = op(cur);
-    if (!ProjIs(pj, {{col::iter(), col::iter()},
-                     {col::item(), col::item()}})) {
-      return false;
-    }
-    const Op& sj = op(pj.children[0]);
-    if (sj.kind != OpKind::kEquiJoin || sj.value_join ||
-        sj.col != col::iter()) {
-      return false;
-    }
-    OpId x_id = sj.children[0];
-    const Op& selp = op(sj.children[1]);
-    if (selp.kind != OpKind::kProject ||
-        !ProjIs(selp, {{sj.col2, col::iter()}}) ||
-        selp.children[0] != sel_id) {
-      return false;
-    }
+    OpId n_id = s->space_num;
+    const Op& n = op(n_id);
 
-    // items_s = π{iter:bind, item}(N) — hash-consing makes it unique, so
-    // a scan of the predicate's region finds the one the sides use.
-    OpId items_id = kNoOp;
-    for (OpId c : dag_.ReachableFrom(sel_id)) {
-      const Op& o = op(c);
-      if (o.kind == OpKind::kProject && !o.children.empty() &&
-          o.children[0] == n_id &&
-          ProjIs(o, {{col::iter(), n.col}, {col::item(), col::item()}})) {
-        items_id = c;
+    // The where filter: a Select over the EBV scaffolding padded by S's
+    // own loop.
+    std::vector<RawPred> raws;
+    for (OpId c : wheres_[n_id]) {
+      raws.clear();
+      if (MatchEbv(c, n_id, s, &raws)) {
+        s->sel = c;
         break;
       }
     }
-    if (items_id == kNoOp) return false;
-
-    s->akind = JoinAnchorKind::kSemijoinReturn;
+    if (s->sel == kNoOp) return false;
+    // items_s = π{iter:bind, item}(N) — hash-consing makes it unique, so
+    // a scan of the predicate's region finds the one the sides use.
+    for (OpId c : dag_.ReachableFrom(s->sel)) {
+      const Op& o = op(c);
+      if (o.kind == OpKind::kProject && o.children[0] == n_id &&
+          ProjIs(o, {{col::iter(), n.col}, {col::item(), col::item()}})) {
+        s->items_s = c;
+        break;
+      }
+    }
     s->anchor = id;
-    s->items_s = items_id;
-    s->map_s = map_id;
     s->iter1x = iter1x;
-    s->bindx = bindx;
-    s->ret_num = rn_id;
-    s->elem = e_id;
-    s->content_num = cn_id;
-    s->content_steps = std::move(csteps);
-    s->x_root = x_id;
+    if (!MatchSpace(n_id, s) || !ClassifyAll(raws, s)) return false;
 
-    std::vector<RawPred> raws;
-    if (!MatchEbv(sel_id, n_id, s, &raws) || !MatchSpace(n_id, s) ||
-        !ClassifyAll(raws, s)) {
-      return false;
+    region_memo_.clear();
+    reach_memo_.clear();
+    found_ = &found;
+    spec_ = s;
+    std::optional<RegionShape> top = RegionWalk(a.children[0]);
+    if (!top || top->fixed || !top->restricted) return false;
+    for (const auto& [nn, old] : a.proj) {
+      auto it = top->ids.find(old);
+      if (it == top->ids.end()) continue;
+      if (!it->second.arbitrary) return false;
+      s->inexact.push_back(nn);
     }
-
-    // X must key its rows by the S-iteration in exactly the semijoin's
-    // column, carrying no iteration ids elsewhere.
-    std::vector<OpId> xconsts;
-    std::map<OpId, int> rm;
-    auto xi = SideWalk(x_id, s->items_s, s->loop_s, s, false, nullptr,
-                       nullptr, &xconsts, &rm);
-    if (!xi || *xi != ColSet{sj.col} || sj.col != col::iter()) {
-      return false;
-    }
-    s->const_roots.insert(s->const_roots.end(), xconsts.begin(),
-                          xconsts.end());
+    s->region.push_back(id);
     return true;
+  }
+
+  // Proves that the rebuild over the survivors reproduces `id`: with φ
+  // the renaming of surviving S-iterations to fresh ids, the rebuilt
+  // operator equals φ(id restricted to survivors). Each admitted
+  // operator is per-iteration (rows of one iteration depend only on
+  // input rows of that iteration) and uses id columns only as ids.
+  // Operators whose input is not yet restricted must also be unable to
+  // raise, because the rebuild stops evaluating them for non-surviving
+  // iterations. Returns nullopt when the region is refused.
+  std::optional<RegionShape> RegionWalk(OpId id) {
+    if (auto it = region_memo_.find(id); it != region_memo_.end()) {
+      return it->second;
+    }
+    std::optional<RegionShape> r = RegionShapeOf(id);
+    if (r && !r->fixed) {
+      if (r->ids.empty() && !r->restricted) r.reset();
+    }
+    if (r && !r->fixed && !IsRegionLeaf(id)) spec_->region.push_back(id);
+    region_memo_[id] = r;
+    return r;
+  }
+
+  bool IsRegionLeaf(OpId id) const {
+    return id == spec_->sel || id == spec_->items_s ||
+           id == spec_->loop_s || id == spec_->map_s;
+  }
+
+  std::optional<RegionShape> RegionShapeOf(OpId id) {
+    const JoinSpec& s = *spec_;
+    IdCol space{s.space_num, op(s.space_num).kind == OpKind::kRowId};
+    RegionShape out;
+    if (id == s.sel) {
+      out.restricted = true;
+      out.ids[col::iter()] = space;
+      return out;
+    }
+    if (id == s.items_s || id == s.loop_s) {
+      out.ids[col::iter()] = space;
+      return out;
+    }
+    if (id == s.map_s) {
+      out.ids[s.bindx] = space;
+      out.outer.insert(s.iter1x);
+      return out;
+    }
+    if (id == s.space_num) return std::nullopt;  // e.g. a `for … at` rank
+    if (!Reaches(id, s.space_num, kNoOp, &reach_memo_)) {
+      out.fixed = true;
+      return out;
+    }
+    if (found_->count(id) != 0) return std::nullopt;
+
+    const Op o = op(id);
+    std::vector<RegionShape> in;
+    for (OpId c : o.children) {
+      std::optional<RegionShape> sub = RegionWalk(c);
+      if (!sub) return std::nullopt;
+      in.push_back(std::move(*sub));
+    }
+    auto is_id = [](const RegionShape& r, ColId c) {
+      return r.ids.count(c) != 0;
+    };
+    // Every non-fixed input already restricted to survivors.
+    auto all_restricted = [&] {
+      for (const RegionShape& r : in) {
+        if (!r.fixed && !r.restricted) return false;
+      }
+      return true;
+    };
+
+    switch (o.kind) {
+      case OpKind::kProject:
+        out.restricted = in[0].restricted;
+        for (const auto& [nn, old] : o.proj) {
+          if (auto it = in[0].ids.find(old); it != in[0].ids.end()) {
+            out.ids[nn] = it->second;
+          }
+          if (in[0].outer.count(old) != 0) out.outer.insert(nn);
+        }
+        return out;
+      case OpKind::kSelect:
+        if (is_id(in[0], o.col)) return std::nullopt;
+        return in[0];
+      case OpKind::kFun:
+        for (ColId c : o.args) {
+          if (is_id(in[0], c)) return std::nullopt;
+        }
+        if (!NeverRaises(o.fun) && !all_restricted()) return std::nullopt;
+        return in[0];
+      case OpKind::kStep: {
+        auto it = in[0].ids.find(col::iter());
+        if (it == in[0].ids.end()) return std::nullopt;
+        if (!in[0].restricted &&
+            sem_->Get(o.children[0]).KindOf(col::item()) != ItemKind::kNode) {
+          return std::nullopt;  // a step over a non-node raises
+        }
+        out.restricted = in[0].restricted;
+        out.ids[col::iter()] = it->second;
+        return out;
+      }
+      case OpKind::kDistinct:
+        // Rows keep their id columns, and ids are renamed injectively:
+        // global dedup equals per-iteration dedup.
+        return in[0];
+      case OpKind::kCross:
+        if (in[0].fixed == in[1].fixed) return std::nullopt;
+        return in[0].fixed ? in[1] : in[0];
+      case OpKind::kUnion:
+        if (in[0].fixed || in[1].fixed) return std::nullopt;
+        out.restricted = in[0].restricted && in[1].restricted;
+        for (ColId c : in[0].outer) {
+          if (in[1].outer.count(c) != 0) out.outer.insert(c);
+        }
+        for (ColId c : o.schema) {
+          auto l = in[0].ids.find(c);
+          auto r = in[1].ids.find(c);
+          bool lk = l != in[0].ids.end();
+          bool rk = r != in[1].ids.end();
+          if (!lk && !rk) continue;
+          if (lk && rk && l->second == r->second) {
+            out.ids[c] = l->second;
+            continue;
+          }
+          // One branch numbers by #: the merged column is as free as
+          // that numbering. Anything else mixes renamed ids with values.
+          if ((lk && !l->second.arbitrary) || (rk && !r->second.arbitrary)) {
+            return std::nullopt;
+          }
+          out.ids[c] = IdCol{id, true};
+        }
+        return out;
+      case OpKind::kDifference:
+      case OpKind::kSemiJoin: {
+        if (in[0].fixed) return std::nullopt;
+        bool keyed = false;
+        for (ColId k : o.keys) {
+          auto l = in[0].ids.find(k);
+          if (in[1].fixed) {
+            if (l != in[0].ids.end()) return std::nullopt;
+            continue;
+          }
+          auto r = in[1].ids.find(k);
+          bool lk = l != in[0].ids.end();
+          bool rk = r != in[1].ids.end();
+          if (lk != rk || (lk && !(l->second == r->second))) {
+            return std::nullopt;
+          }
+          keyed |= lk;
+        }
+        if (!in[1].fixed && !keyed) return std::nullopt;
+        out = in[0];
+        if (o.kind == OpKind::kSemiJoin && !in[1].fixed) {
+          out.restricted = in[0].restricted || in[1].restricted;
+        }
+        return out;
+      }
+      case OpKind::kEquiJoin:
+      case OpKind::kThetaJoin: {
+        if (!in[0].fixed && !in[1].fixed) {
+          // Per-iteration pairing on ids of one numbering.
+          if (o.kind != OpKind::kEquiJoin || o.value_join) {
+            return std::nullopt;
+          }
+          auto l = in[0].ids.find(o.col);
+          auto r = in[1].ids.find(o.col2);
+          if (l == in[0].ids.end() || r == in[1].ids.end() ||
+              l->second.dom != r->second.dom) {
+            return std::nullopt;
+          }
+          const Op& rp = op(o.children[1]);
+          if (rp.kind == OpKind::kProject && rp.children[0] == spec_->sel &&
+              ProjIs(rp, {{o.col2, col::iter()}})) {
+            spec_->restrict_joins.push_back(id);
+          }
+          out.ids = in[0].ids;
+          out.ids.insert(in[1].ids.begin(), in[1].ids.end());
+          out.outer = in[0].outer;
+          out.outer.insert(in[1].outer.begin(), in[1].outer.end());
+          out.restricted = in[0].restricted || in[1].restricted;
+          return out;
+        }
+        // Against a fixed table: keyed on values, so each iteration's
+        // rows meet the same table either way.
+        const RegionShape& t = in[0].fixed ? in[1] : in[0];
+        ColId tk = in[0].fixed ? o.col2 : o.col;
+        if (is_id(t, tk)) return std::nullopt;
+        if (o.kind == OpKind::kThetaJoin && !t.restricted) {
+          return std::nullopt;  // the comparison raises per pair
+        }
+        return t;
+      }
+      case OpKind::kRowNum: {
+        // Ranks stay values when every group's rows survive intact (the
+        // groups are iterations, or every row already survived) and the
+        // order criteria are values, or ids compared within one outer
+        // iteration. Otherwise the column carries fresh ids of its own.
+        bool grouped = o.part != kNoCol && is_id(in[0], o.part);
+        bool within_outer = o.part != kNoCol && in[0].outer.count(o.part);
+        bool arbitrary = false;
+        bool by_ids = false;
+        for (const SortKey& k : o.order) {
+          auto it = in[0].ids.find(k.col);
+          if (it == in[0].ids.end()) continue;
+          by_ids = true;
+          arbitrary |= it->second.arbitrary;
+        }
+        out = in[0];
+        bool same_ranks =
+            grouped ||
+            (in[0].restricted && (!by_ids || within_outer));
+        if (same_ranks && !arbitrary) return out;
+        out.ids[o.col] = IdCol{id, arbitrary};
+        return out;
+      }
+      case OpKind::kRowId:
+        // A positional # asserts physical row order, which the rebuild
+        // does not promise to keep.
+        if (o.positional) return std::nullopt;
+        out = in[0];
+        out.ids[o.col] = IdCol{id, true};
+        return out;
+      case OpKind::kAggr: {
+        if (is_id(in[0], o.col2)) return std::nullopt;
+        if (!o.keys.empty()) {
+          auto it = in[0].ids.find(o.keys[0]);
+          if (it != in[0].ids.end() && it->second.arbitrary) {
+            return std::nullopt;
+          }
+        }
+        bool may_raise = o.aggr == AggrKind::kSum ||
+                         o.aggr == AggrKind::kMax ||
+                         o.aggr == AggrKind::kMin ||
+                         o.aggr == AggrKind::kAvg;
+        if (may_raise && !in[0].restricted) return std::nullopt;
+        out.restricted = in[0].restricted;
+        if (in[0].outer.count(o.part) != 0) out.outer.insert(o.part);
+        if (o.part != kNoCol && is_id(in[0], o.part)) {
+          out.ids[o.part] = in[0].ids.at(o.part);
+        } else if (!in[0].restricted) {
+          return std::nullopt;  // one group across iterations
+        }
+        return out;
+      }
+      case OpKind::kElem:
+      case OpKind::kAttr:
+      case OpKind::kTextNode:
+      case OpKind::kCardCheck: {
+        // Children (content|value|checked, loop), matched by iter. All
+        // four can raise, so both inputs must already be restricted.
+        auto c = in[0].ids.find(col::iter());
+        auto l = in[1].ids.find(col::iter());
+        if (in[0].fixed || in[1].fixed || c == in[0].ids.end() ||
+            l == in[1].ids.end() || !(c->second == l->second) ||
+            !all_restricted()) {
+          return std::nullopt;
+        }
+        if (o.kind == OpKind::kCardCheck) return in[0];
+        out.restricted = true;
+        out.ids[col::iter()] = l->second;
+        return out;
+      }
+      default:
+        return std::nullopt;
+    }
+  }
+
+  // The numbering N whose loop π{iter:bind}(N) pads the EBV under the
+  // Select `id` (a where filter candidate; MatchEbv checks the rest), or
+  // kNoOp.
+  OpId PaddingSpace(OpId id) const {
+    const Op& sel = op(id);
+    if (sel.kind != OpKind::kSelect) return kNoOp;
+    const Op& u = op(sel.children[0]);
+    if (u.kind != OpKind::kUnion) return kNoOp;
+    const Op& c = op(u.children[1]);
+    if (c.kind != OpKind::kCross) return kNoOp;
+    const Op& d = op(c.children[0]);
+    if (d.kind != OpKind::kDifference) return kNoOp;
+    const Op& loop = op(d.children[0]);
+    if (loop.kind != OpKind::kProject) return kNoOp;
+    return loop.children[0];
   }
 
   // The EBV scaffolding over the per-iteration predicate:
@@ -734,8 +924,13 @@ class Recognizer {
 
       // The lifted outer items must enumerate exactly the outer loop the
       // S-space was built over: the same numbering op that seeded the
-      // product source.
-      const Op& oio = op(oi);
+      // product source. A sequence-position literal may still be
+      // attached when other consumers of the variable read it.
+      const Op* oip = &op(oi);
+      if (oip->kind == OpKind::kCross && IsOneRowLit(op(oip->children[1]))) {
+        oip = &op(oip->children[0]);
+      }
+      const Op& oio = *oip;
       const Op& nn = op(s->src_num);
       if (oio.kind != OpKind::kProject || oio.children[0] != s->src_num ||
           !ProjIs(oio, {{col::iter(), nn.col},
@@ -767,66 +962,187 @@ class Recognizer {
   }
 
   const Dag& dag_;
+  SemTypeTracker* sem_;
+  // Where filter candidates by the numbering of their padding loop.
+  std::map<OpId, std::vector<OpId>> wheres_;
+  // Scoped to one MatchFlwor's region walk.
+  const std::map<OpId, JoinSpec>* found_ = nullptr;
+  JoinSpec* spec_ = nullptr;
+  std::map<OpId, std::optional<RegionShape>> region_memo_;
+  std::map<OpId, int> reach_memo_;
 };
 
+// `id` re-emitted over new children: same operator, same parameters.
+OpId Reemit(Dag* dag, OpId id, std::vector<OpId> children) {
+  Op o = dag->op(id);
+  o.children = std::move(children);
+  o.schema.clear();
+  return dag->Add(std::move(o));
+}
+
 // Re-emits the subtree under `id` with the leaf substitutions applied.
-// Only the operator kinds SideWalk admitted can appear here.
 OpId Rebuild(Dag* dag, OpId id, const std::map<OpId, OpId>& leaves,
              std::map<OpId, OpId>* memo) {
   if (auto it = leaves.find(id); it != leaves.end()) return it->second;
   if (auto it = memo->find(id); it != memo->end()) return it->second;
-  const Op& o = dag->op(id);
-  OpId out = kNoOp;
-  switch (o.kind) {
-    case OpKind::kLit:
-      out = id;  // per-row constants are iteration-independent
-      break;
-    case OpKind::kProject:
-      out = dag->Project(Rebuild(dag, o.children[0], leaves, memo), o.proj);
-      break;
-    case OpKind::kFun:
-      out = dag->Fun(Rebuild(dag, o.children[0], leaves, memo), o.fun, o.col,
-                     o.args);
-      break;
-    case OpKind::kStep:
-      out = dag->Step(Rebuild(dag, o.children[0], leaves, memo), o.axis,
-                      o.test);
-      break;
-    case OpKind::kSelect:
-      out = dag->Select(Rebuild(dag, o.children[0], leaves, memo), o.col);
-      break;
-    case OpKind::kDistinct:
-      out = dag->Distinct(Rebuild(dag, o.children[0], leaves, memo));
-      break;
-    case OpKind::kThetaJoin:
-      out = dag->ThetaJoin(Rebuild(dag, o.children[0], leaves, memo),
-                           Rebuild(dag, o.children[1], leaves, memo), o.col,
-                           o.fun, o.col2);
-      break;
-    case OpKind::kCardCheck:
-      out = dag->CardCheck(Rebuild(dag, o.children[0], leaves, memo),
-                           Rebuild(dag, o.children[1], leaves, memo),
-                           o.min_card, o.max_card, o.name);
-      break;
-    case OpKind::kCross:
-      out = dag->Cross(Rebuild(dag, o.children[0], leaves, memo),
-                       Rebuild(dag, o.children[1], leaves, memo));
-      break;
-    case OpKind::kEquiJoin:
-      out = o.value_join
-                ? dag->ValueJoin(Rebuild(dag, o.children[0], leaves, memo),
-                                 Rebuild(dag, o.children[1], leaves, memo),
-                                 o.col, o.col2)
-                : dag->EquiJoin(Rebuild(dag, o.children[0], leaves, memo),
-                                Rebuild(dag, o.children[1], leaves, memo),
-                                o.col, o.col2);
-      break;
-    default:
-      EXRQUY_CHECK(false);
-  }
+  std::vector<OpId> kids = dag->op(id).children;
+  for (OpId& c : kids) c = Rebuild(dag, c, leaves, memo);
+  OpId out = Reemit(dag, id, std::move(kids));
   (*memo)[id] = out;
   return out;
 }
+
+// Re-emits a recognized return region over the survivors. `keepn` has
+// one row per survivor (outer iteration, rid, fresh id s2); `with_item`
+// adds the survivor's inner item. S's leaves become projections of these
+// two tables, and operators outside the region are reused as rewritten.
+// Region operators keep only the columns their consumers read, so dead
+// numberings and literal columns vanish here rather than in a later pass
+// that no longer sees the folds below. Two folds keep the result as
+// small as the region allows: a restricted scope join only copies iter
+// into iterR (its input already holds survivors only), and a join of
+// two projections of the survivor tables on s2 is one projection, since
+// s2 is a key of both.
+class SurvivorRebuild {
+ public:
+  SurvivorRebuild(Dag* dag, const JoinSpec& spec, const PassView& view,
+                  OpId keepn, OpId with_item, ColId s2)
+      : dag_(dag),
+        view_(view),
+        region_(spec.region.begin(), spec.region.end()),
+        restrict_(spec.restrict_joins.begin(), spec.restrict_joins.end()),
+        keepn_(keepn),
+        with_item_(with_item),
+        s2_(s2) {
+    ColId o_iter = spec.preds[0].outer_iter;
+    memo_[spec.loop_s] = dag_->Project(keepn_, {{col::iter(), s2_}});
+    memo_[spec.map_s] = dag_->Project(
+        keepn_, {{spec.iter1x, o_iter}, {spec.bindx, s2_}});
+    sel_ = dag_->AttachConst(memo_[spec.loop_s], col::item(),
+                             Value::Bool(true));
+    memo_[spec.sel] = sel_;
+    if (spec.items_s != kNoOp) {
+      memo_[spec.items_s] = dag_->Project(
+          with_item_, {{col::iter(), s2_}, {col::item(), col::item()}});
+    }
+  }
+
+  OpId Rebuild(OpId id) {
+    if (auto it = memo_.find(id); it != memo_.end()) return it->second;
+    if (region_.count(id) == 0) return view_.rewritten(id);
+    Op o = dag_->op(id);  // a copy: Add below grows the op vector
+    std::vector<OpId> kids = o.children;
+    for (OpId& c : kids) c = Rebuild(c);
+    const ColSet& need = view_.required(id);
+    OpId out = kNoOp;
+    if (o.kind == OpKind::kProject) {
+      std::vector<std::pair<ColId, ColId>> proj;
+      for (const auto& e : o.proj) {
+        if (need.count(e.first) != 0) proj.push_back(e);
+      }
+      if (proj.empty()) {
+        // Only the row count is read: keep any one column.
+        const Op& c = dag_->op(kids[0]);
+        for (const auto& e : o.proj) {
+          if (c.HasCol(e.second)) {
+            proj.push_back(e);
+            break;
+          }
+        }
+        if (proj.empty()) proj.emplace_back(c.schema[0], c.schema[0]);
+      }
+      out = ProjectOver(kids[0], std::move(proj));
+    } else if ((o.kind == OpKind::kRowNum || o.kind == OpKind::kRowId ||
+                o.kind == OpKind::kFun) &&
+               need.count(o.col) == 0) {
+      out = kids[0];
+    } else if (o.kind == OpKind::kCross) {
+      for (int side = 0; side < 2 && out == kNoOp; ++side) {
+        const Op& l = dag_->op(kids[side]);
+        bool dead = l.kind == OpKind::kLit && l.lit.rows.size() == 1 &&
+                    std::none_of(l.schema.begin(), l.schema.end(),
+                                 [&](ColId c) { return need.count(c); });
+        if (dead) out = kids[1 - side];
+      }
+    } else if (o.kind == OpKind::kUnion) {
+      // Keep both branches' schemas aligned after pruning below them.
+      for (OpId& k : kids) {
+        std::vector<std::pair<ColId, ColId>> proj;
+        for (ColId c : o.schema) {
+          if (need.empty() || need.count(c) != 0) proj.emplace_back(c, c);
+        }
+        k = ProjectOver(k, std::move(proj));
+      }
+    } else if (restrict_.count(id) != 0) {
+      const std::vector<ColId>& cols = dag_->op(kids[0]).schema;
+      std::vector<std::pair<ColId, ColId>> proj;
+      proj.reserve(cols.size() + 1);
+      for (ColId c : cols) proj.emplace_back(c, c);
+      proj.emplace_back(o.col2, o.col);
+      out = ProjectOver(kids[0], std::move(proj));
+    } else if (o.kind == OpKind::kEquiJoin && !o.value_join) {
+      out = FoldKeyJoin(kids[0], kids[1], o.col, o.col2);
+    }
+    if (out == kNoOp) out = Reemit(dag_, id, std::move(kids));
+    memo_[id] = out;
+    return out;
+  }
+
+ private:
+  bool IsBase(OpId id) const { return id == keepn_ || id == with_item_; }
+
+  // Project(child, proj), composed onto a survivor table when `child` is
+  // a projection of one (or the all-true where filter over one), and
+  // narrowed to `keepn` when the inner item is not read.
+  OpId ProjectOver(OpId child, std::vector<std::pair<ColId, ColId>> proj) {
+    const Op& c = dag_->op(child);
+    OpId base = child;
+    if (child == sel_) {
+      for (const auto& e : proj) {
+        if (e.second != col::iter()) {
+          return dag_->Project(child, std::move(proj));
+        }
+      }
+      base = keepn_;
+      for (auto& e : proj) e.second = s2_;
+    } else if (c.kind == OpKind::kProject && IsBase(c.children[0])) {
+      base = c.children[0];
+      for (auto& e : proj) e.second = ProjOld(c, e.second);
+    }
+    if (base == with_item_) {
+      const Op& kn = dag_->op(keepn_);
+      bool narrow = std::all_of(proj.begin(), proj.end(), [&](const auto& e) {
+        return kn.HasCol(e.second);
+      });
+      if (narrow) base = keepn_;
+    }
+    return dag_->Project(base, std::move(proj));
+  }
+
+  OpId FoldKeyJoin(OpId l, OpId r, ColId lc, ColId rc) {
+    const Op& lo = dag_->op(l);
+    const Op& ro = dag_->op(r);
+    if (lo.kind != OpKind::kProject || ro.kind != OpKind::kProject ||
+        !IsBase(lo.children[0]) || !IsBase(ro.children[0]) ||
+        ProjOld(lo, lc) != s2_ || ProjOld(ro, rc) != s2_) {
+      return kNoOp;
+    }
+    std::vector<std::pair<ColId, ColId>> proj = lo.proj;
+    proj.insert(proj.end(), ro.proj.begin(), ro.proj.end());
+    bool item = lo.children[0] == with_item_ || ro.children[0] == with_item_;
+    return ProjectOver(item ? with_item_ : keepn_, std::move(proj));
+  }
+
+  Dag* dag_;
+  const PassView& view_;
+  std::set<OpId> region_;
+  std::set<OpId> restrict_;
+  OpId keepn_;
+  OpId with_item_;
+  ColId s2_;
+  OpId sel_ = kNoOp;
+  std::map<OpId, OpId> memo_;
+};
 
 bool HashSafeKind(ItemKind k) {
   // Exactly the verifier's gate: within these classes the engine's
@@ -843,15 +1159,23 @@ bool NonNodeKind(ItemKind k) {
 
 }  // namespace
 
-std::map<OpId, JoinSpec> RecognizeJoins(const Dag& dag, OpId root) {
-  return Recognizer(dag).Run(root);
+std::map<OpId, JoinSpec> RecognizeJoins(const Dag& dag, OpId root,
+                                        SemTypeTracker* sem) {
+  return Recognizer(dag, sem).Run(root);
 }
 
-OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
+OpId EmitJoin(Dag* dag, const JoinSpec& spec, const PassView& view,
               const RewriteOptions& options, SemTypeTracker* sem,
               CardTracker* cards, std::string* detail) {
+  OpId outer_items_new = view.rewritten(spec.outer_items);
   const Op& oi = dag->op(outer_items_new);
   if (!oi.HasCol(col::iter()) || !oi.HasCol(col::item())) return kNoOp;
+  if (oi.schema.size() != 2) {
+    // The lift it replaces carries exactly (iter, item).
+    outer_items_new = dag->Project(
+        outer_items_new,
+        {{col::iter(), col::iter()}, {col::item(), col::item()}});
+  }
 
   // The inner sequence, rebuilt once at document level and keyed by a
   // fresh # — one rid per document item, standing in for the per-outer-
@@ -868,8 +1192,10 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
     const Op& st = dag->op(sid);
     chain = dag->Step(chain, st.axis, st.test);
   }
+  // Ranked in document order, so the survivor numbering below can lead
+  // with it: an order-bearing column, never an arbitrary one.
   ColId rid = FreshCol("rid");
-  OpId k = dag->RowId(chain, rid);
+  OpId k = dag->RowNum(chain, rid, {{col::item(), false}}, kNoCol);
   OpId k_items =
       dag->Project(k, {{col::iter(), rid}, {col::item(), col::item()}});
   OpId k_loop = dag->Project(k, {{col::iter(), rid}});
@@ -955,76 +1281,27 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
     keep = keep == kNoOp ? b.keep
                          : dag->SemiJoin(keep, b.keep, {o_iter, c_iter});
   }
-  OpId result = kNoOp;
-  if (spec.akind == JoinAnchorKind::kSemijoinReturn) {
-    // Renumber the survivors into fresh dense iteration ids. Within each
-    // outer iteration the rids are the inner sequence's document order —
-    // exactly the order the product space enumerated — so sorting by
-    // (outer iteration, rid) makes the fresh ids order-isomorphic to the
-    // original S-iterations everywhere they are compared below.
-    ColId s2 = FreshCol("s2");
-    OpId keepn = dag->RowNum(keep, s2,
-                             {{o_iter, false}, {c_iter, false}}, kNoCol);
-    ColId pf = FreshCol("po");
-    ColId tf = FreshCol("tr");
-    OpId knp =
-        dag->Project(keepn, {{s2, s2}, {pf, o_iter}, {tf, c_iter}});
 
-    // The companion plan, re-rooted onto the document-level rids and
-    // semijoined down to the survivors by construction.
-    std::map<OpId, OpId> memo_x;
-    OpId x2 = Rebuild(dag, spec.x_root, leaves_cur, &memo_x);
-    OpId xj = dag->EquiJoin(x2, knp, col::iter(), tf);
-    OpId cb =
-        dag->Project(xj, {{col::iter(), s2}, {col::item(), col::item()}});
-    OpId cchain = cb;
-    for (OpId sid : spec.content_steps) {
-      const Op& st = dag->op(sid);
-      cchain = dag->Step(cchain, st.axis, st.test);
-    }
-    const Op& cn = dag->op(spec.content_num);
-    OpId content = cn.kind == OpKind::kRowNum
-                       ? dag->RowNum(cchain, cn.col, cn.order, cn.part)
-                       : dag->RowId(cchain, cn.col);
-
-    // One element per survivor — including empty-content ones, which the
-    // loop relation supplies just as the original Select did.
-    OpId loop2 = dag->Project(knp, {{col::iter(), s2}});
-    StrId ename = dag->op(spec.elem).name;
-    OpId elem2 = dag->Elem(ename, content, loop2);
-
-    // Re-attach to the outer loop and restore the original order
-    // columns: the numbering mirrors the recognized one, over the fresh
-    // ids whose order within each outer iteration is the original.
-    OpId map2 = dag->Project(knp, {{spec.iter1x, pf}, {spec.bindx, s2}});
-    OpId jr = dag->EquiJoin(elem2, map2, col::iter(), spec.bindx);
-    const Op& rn = dag->op(spec.ret_num);
-    OpId rn2 = rn.kind == OpKind::kRowNum
-                   ? dag->RowNum(jr, rn.col, rn.order, rn.part)
-                   : dag->RowId(jr, rn.col);
-    auto aproj = dag->op(spec.anchor).proj;
-    result = dag->Project(rn2, std::move(aproj));
-    if (detail != nullptr) {
-      *detail = hows +
-                "; for-loop return re-rooted, product space replaced by " +
-                "survivor renumbering over " +
-                std::to_string(spec.steps.size()) + "-step document items";
-    }
-    return result;
-  }
-  if (!spec.with_item) {
-    result = dag->Project(keep, {{col::iter(), o_iter}});
-  } else {
-    // Re-attach the inner item by rid — plain scaffolding equi-join.
-    ColId ridf = FreshCol("rid");
-    OpId kre =
-        dag->Project(k, {{ridf, rid}, {col::item(), col::item()}});
-    OpId j = dag->EquiJoin(keep, kre, c_iter, ridf);
-    result = dag->Project(
-        j, {{col::iter(), o_iter}, {col::item(), col::item()}});
-  }
+  // Renumber the survivors into fresh dense iteration ids, ranked by
+  // (rid, outer iteration). Within each outer iteration that is the
+  // inner sequence's document order — exactly the order S enumerated —
+  // and every consumer orders S's ids only within an outer iteration
+  // (RegionWalk). Leading with the rid keeps the ranking independent of
+  // the outer loop's numbering: an outer # would make a criterion led
+  // by it arbitrary, leaving the order to the join's output.
+  ColId s2 = FreshCol("s2");
+  OpId keepn =
+      dag->RowNum(keep, s2, {{c_iter, false}, {o_iter, false}}, kNoCol);
+  ColId ridf = FreshCol("rid");
+  OpId with_item = dag->EquiJoin(
+      keepn, dag->Project(k, {{ridf, rid}, {col::item(), col::item()}}),
+      c_iter, ridf);
+  SurvivorRebuild rb(dag, spec, view, keepn, with_item, s2);
+  OpId result = rb.Rebuild(spec.anchor);
   if (detail != nullptr) {
-    *detail = hows + "; iteration-product space re-rooted at " +
+    *detail = hows + "; FLWOR return region of " +
+              std::to_string(spec.region.size()) +
+              " operators re-rooted over the survivors of " +
               std::to_string(spec.steps.size()) + "-step document items";
   }
   return result;

@@ -7,25 +7,33 @@
 // scaffolding, though: per iteration it compares the very same item
 // values that a value-based join would pair directly.
 //
-// This module recognizes that shape and re-roots it:
+// This module isolates that join graph from the iteration scaffolding
+// (after "XQuery Join Graph Isolation"), whatever the return clause
+// looks like. There is one anchor: the FLWOR back-mapping
+//   π{iter:iter1X, ...}([num](⋈ iter=bindX(body, map_s) [⋈ order keys]))
+// that CompileFlworRest emits for an inner `for $t in S where P return R`.
 //
-//  * RecognizeJoins scans a plan for the EBV-over-product-space idiom —
-//    Select(ebv-Aggr(Union(Cross(Distinct(σ(Fun cmp(⋈ iter)))), true),
-//    Cross(loop \ ..., false))) consumed through the re-attachment
-//    composite π(⋈ bind(π(⋈ iterR(items, σ)), map)) — and proves from
-//    the plan's own structure that the inner for-space is the exact
-//    product of the outer loop with a loop-invariant document-level node
-//    sequence (every iteration steps the same path from the same
-//    document root).
+//  * RecognizeJoins proves three things from the plan's own structure:
+//    the inner space S is the outer loop × a loop-invariant document-
+//    level path (every iteration steps the same path from the same
+//    document root); the where filter P is an EBV over product-space
+//    comparisons, one JoinPred per `and` conjunct; and the return body
+//    R and any order by keys read S only through the where filter's
+//    restricted scope ⋈ iterR(·, π{iterR:iter}(σ(EBV…))), using each
+//    iteration column as an iteration id and never as a value.
 //
 //  * EmitJoin rebuilds the inner sequence once at document level, keys
 //    it with a fresh # (rid), re-roots both comparison chains onto their
 //    small inputs, and joins them on the *compared item columns* — an
 //    equality predicate over hash-safe kinds becomes a value-marked
-//    EquiJoin (Op::value_join), anything else a ThetaJoin. Iteration and
-//    order scaffolding columns (iter, pos, % results, the fresh rid)
-//    never appear in the join predicate; the plan verifier audits this
-//    independently ([join-isolation-claim] in opt/verify.cc).
+//    EquiJoin (Op::value_join), anything else a ThetaJoin. The surviving
+//    (outer iteration, rid) pairs are renumbered densely, and the whole
+//    return region is re-emitted over them with its leaves substituted.
+//    Iteration and order scaffolding columns (iter, pos, % results, the
+//    fresh rid) never appear in a join predicate; the plan verifier
+//    audits this independently ([join-isolation-claim] in
+//    opt/verify.cc), and the certificate checker re-scans the re-rooted
+//    region and confirms it no longer reaches the product space.
 //
 // The surviving (outer, rid) pairs reproduce the original per-iteration
 // survivors exactly: the S-space iterations are in bijection with
@@ -34,6 +42,7 @@
 #ifndef EXRQUY_OPT_JOIN_PLAN_H_
 #define EXRQUY_OPT_JOIN_PLAN_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,20 +52,6 @@
 #include "opt/rewrites.h"
 
 namespace exrquy {
-
-// How the recognized region consumes the predicate's survivors.
-enum class JoinAnchorKind {
-  // π(⋈ bind(π(⋈ iterR(items_s, σ)), map_s)) — the predicate's
-  // survivors re-attached straight to the outer loop.
-  kPredicate,
-  // The inner for-loop's whole return expression: survivors semijoin a
-  // companion plan X, element construction per surviving iteration, then
-  // the re-attachment to the outer loop with order columns. Recognizing
-  // the full composite lets EmitJoin retire the product space itself —
-  // the surviving (outer, rid) pairs are renumbered into fresh dense
-  // iteration ids that reproduce the original iteration order.
-  kSemijoinReturn,
-};
 
 // One recognized comparison `a_col cmp b_col` between a plan computed
 // over the inner sequence (cur: leaves items_s / loop_s) and one over
@@ -77,23 +72,24 @@ struct JoinPred {
 };
 
 // One recognized value-join region, keyed by its anchor: the Project
-// that re-attaches the surviving iterations to the outer loop. All ids
-// refer to the plan RecognizeJoins scanned.
+// over the FLWOR back-mapping that re-attaches the inner loop's results
+// to the outer loop. All ids refer to the plan RecognizeJoins scanned.
 struct JoinSpec {
-  JoinAnchorKind akind = JoinAnchorKind::kPredicate;
-  OpId anchor = kNoOp;  // π{iter:iter1X[, item]}(⋈ bind(M, map_s))
-  bool with_item = false;  // anchor also carries the inner item column
+  OpId anchor = kNoOp;
 
   // The recognized comparisons — one for a plain predicate, several for
   // an `and`-conjunction of product-space comparisons.
   std::vector<JoinPred> preds;
 
   // The product space S: numbering op N under map_s/loop_s/items_s.
-  OpId items_s = kNoOp;  // π{iter:bind, item}(N)
-  OpId loop_s = kNoOp;   // π{iter:bind}(N)
-  OpId map_s = kNoOp;    // π{iter1X:iter, bindX:bind}(N)
+  OpId space_num = kNoOp;  // N; a % orders S, a # leaves it arbitrary
+  OpId items_s = kNoOp;    // π{iter:bind, item}(N)
+  OpId loop_s = kNoOp;     // π{iter:bind}(N)
+  OpId map_s = kNoOp;      // π{iter1X:iter, bindX:bind}(N)
   ColId iter1x = kNoCol;
   ColId bindx = kNoCol;
+  // σ item over the where filter's EBV: exactly the surviving iterations.
+  OpId sel = kNoOp;
 
   // Outer loop: `lift` = π{iter:bindX, item}(⋈(outer_items, map_s))
   // lifts outer_items into S; outer_items = π{iter:bind, item}(src_num)
@@ -109,37 +105,48 @@ struct JoinSpec {
   OpId doc_op = kNoOp;
   std::vector<OpId> steps;
 
-  // Iteration-independent sub-plans the comparison sides (or X) join in
-  // by value: fixed tables, left untouched by the re-rooting.
+  // Iteration-independent sub-plans the comparison sides join in by
+  // value: fixed tables, left untouched by the re-rooting.
   std::vector<OpId> const_roots;
 
-  // kSemijoinReturn only — the recognized return composite:
-  //   anchor = π{iter:iter1X, pos:posX, item}(ret_num(⋈ bind(elem,
-  //            map_s)))
-  //   elem   = Elem(content_num(Step*(π{iter,item}(
-  //            ⋈ iter=iterRX(x_root, π{iterRX:iter}(SEL))))),
-  //            π{iter}(SEL))
-  OpId x_root = kNoOp;    // companion plan keyed by S-iterations
-  OpId ret_num = kNoOp;   // RowNum posX:<iter>|iter1X (RowId unordered)
-  OpId elem = kNoOp;      // the per-iteration element constructor
-  OpId content_num = kNoOp;        // RowNum pos:<...>|iter over content
-  std::vector<OpId> content_steps;  // innermost first
+  // The return region between the anchor and S's leaves (items_s,
+  // loop_s, map_s, sel): every operator that reaches N, bottom-up.
+  // Operators outside it never read S and are reused as rewritten.
+  std::vector<OpId> region;
+  // ⋈ iter=iterR(X, π{iterR:iter}(sel)) — the where filter's restricted
+  // scope. Over the survivors it only copies iter into iterR.
+  std::vector<OpId> restrict_joins;
+  // Anchor columns carrying ids a # minted: their values legitimately
+  // differ after the rebuild.
+  std::vector<ColId> inexact;
+};
+
+// The rewriting pass's view of the scanned plan.
+struct PassView {
+  // The pass's rewrite of an operator it has already visited.
+  std::function<OpId(OpId)> rewritten;
+  // The columns an operator's consumers read (ComputeICols).
+  std::function<const ColSet&(OpId)> required;
 };
 
 // Scans the sub-plan rooted at `root` for value-join regions. Returns
-// the recognized specs keyed by anchor id. Purely structural — never
-// mutates the plan.
-std::map<OpId, JoinSpec> RecognizeJoins(const Dag& dag, OpId root);
+// the recognized specs keyed by anchor id. Never mutates the plan;
+// `sem` proves location steps the survivor rebuild stops evaluating for
+// non-surviving iterations cannot raise.
+std::map<OpId, JoinSpec> RecognizeJoins(const Dag& dag, OpId root,
+                                        SemTypeTracker* sem);
 
 // Builds the re-rooted join plan for `spec` and returns its root.
-// `outer_items_new` is the current pass's rewrite of spec.outer_items.
+// `view.rewritten` supplies spec.outer_items and everything outside the
+// region; the region is re-emitted with only the columns `view.required`
+// says its consumers read, as the pass's column pruning would.
 // Returns kNoOp when the join is refused: equality keys whose kinds are
 // not provably hash-safe fall back to ThetaJoin, and ThetaJoin in turn
 // requires options.theta_join plus statically non-node operand kinds
 // (node operands make the comparison itself a type error — the original
 // plan must keep raising it per iteration). `detail` receives the
 // justification for the --explain-order trade log.
-OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
+OpId EmitJoin(Dag* dag, const JoinSpec& spec, const PassView& view,
               const RewriteOptions& options, SemTypeTracker* sem,
               CardTracker* cards, std::string* detail);
 

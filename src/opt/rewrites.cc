@@ -32,7 +32,7 @@ class Rewriter {
     icols_ = ComputeICols(*dag_, root,
                           {col::iter(), col::pos(), col::item()});
     if (options_.join_recognition) {
-      join_specs_ = RecognizeJoins(*dag_, root);
+      join_specs_ = RecognizeJoins(*dag_, root, &sem_);
     }
     if (certify_.mode != CertifyMode::kOff) {
       checker_ = std::make_unique<CertifyChecker>(
@@ -170,29 +170,40 @@ class Rewriter {
            sa.test.name != sb.test.name;
   }
 
-  // The recognized value-join anchor rewrite: replace the whole EBV-
-  // over-product-space region with a join on the compared item values.
-  // Returns kNoOp when no join is emitted (or strict certification
-  // rejects it).
+  // The recognized value-join anchor rewrite: replace the FLWOR back-
+  // mapping over the product space with a join on the compared item
+  // values and the return region re-rooted over its survivors. Returns
+  // kNoOp when no join is emitted (or strict certification rejects it).
   OpId TryJoin(OpId id, const JoinSpec& spec) {
     std::string detail;
-    OpId repl = EmitJoin(dag_, spec, map_.at(spec.outer_items), options_,
-                         &sem_, &cards_, &detail);
+    PassView view{[this](OpId old) { return map_.at(old); },
+                  [this](OpId old) -> const ColSet& { return icols_[old]; }};
+    OpId repl =
+        EmitJoin(dag_, spec, view, options_, &sem_, &cards_, &detail);
     if (repl == kNoOp) return kNoOp;
     RewriteCertificate cert = Cert(id, repl, "join_recognition",
                                    std::move(detail), /*order_trade=*/true);
+    // The re-rooted region carries only the anchor's demanded columns.
+    for (ColId c : dag_->op(id).schema) {
+      if (!dag_->op(repl).HasCol(c)) {
+        cert.cited.push_back(CiteDeadColumn(id, c));
+      }
+    }
     // The join re-rooting enumerates survivors in join order, not the
     // product space's iteration order.
     cert.rows_reordered = true;
-    // An arbitrary-# return numbering produces legitimately different
-    // rank values; exclude it from the exact-value witness.
-    const Op& ra = dag_->op(repl);
-    if (ra.kind == OpKind::kProject && !ra.children.empty() &&
-        dag_->op(ra.children[0]).kind == OpKind::kRowId) {
-      for (ColWitness& w : cert.witness) {
-        if (w.after == col::pos()) w.exact = false;
+    // Columns carrying #-minted ids produce legitimately different
+    // values; exclude them from the exact-value witness.
+    for (ColWitness& w : cert.witness) {
+      if (std::find(spec.inexact.begin(), spec.inexact.end(), w.after) !=
+          spec.inexact.end()) {
+        w.exact = false;
       }
     }
+    // The product space the rewrite retires: the checker confirms the
+    // re-rooted region never reaches its numbering.
+    cert.cited.push_back(
+        CiteStructural(spec.space_num, "retired product-space numbering"));
     // Cite isolation and kind-gate facts for every value join in the
     // emitted region; the checker re-derives them and re-scans the
     // region on its own.

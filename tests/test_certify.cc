@@ -422,6 +422,43 @@ TEST_F(CertifyCheckerTest, JoinRecognitionRejectsScaffoldingKey) {
                  "join-isolation");
 }
 
+TEST_F(CertifyCheckerTest, JoinRecognitionRejectsRegionReachingProductSpace) {
+  // A well-formed value join whose region still reads the product-space
+  // numbering the certificate claims to retire: part of the product
+  // space survived the rebuild.
+  OpId space = dag_.RowId(Triples({{1, 1, 5}, {1, 2, 7}}), ColSym("jb1"));
+  OpId left = dag_.Project(space, {{iter(), iter()}, {item(), item()}});
+  LitTable rt;
+  ColId i2 = ColSym("jk2");
+  rt.cols = {i2};
+  rt.rows = {{Value::Int(5)}};
+  OpId join = dag_.ValueJoin(left, dag_.Lit(std::move(rt)), item(), i2);
+  OpId anchor = dag_.Project(space, {{iter(), iter()}, {item(), item()}});
+  RewriteCertificate cert =
+      Cert(anchor, join, "join_recognition",
+           {CiteScaffoldFree(left, item()),
+            CiteStructural(space, "retired product-space numbering")});
+  ExpectRejected(join, cert, "join-isolation");
+  CertifyChecker checker(&dag_, join);
+  EXPECT_FALSE(checker.Check(&cert));
+  EXPECT_NE(cert.diagnostic.find("retired product-space numbering"),
+            std::string::npos)
+      << cert.diagnostic;
+
+  // The same join over a fresh copy of the rows is accepted.
+  OpId fresh = dag_.Project(Triples({{1, 1, 5}, {1, 2, 7}}),
+                            {{iter(), iter()}, {item(), item()}});
+  LitTable rt2;
+  rt2.cols = {i2};
+  rt2.rows = {{Value::Int(5)}};
+  OpId ok_join = dag_.ValueJoin(fresh, dag_.Lit(std::move(rt2)), item(), i2);
+  ExpectValid(ok_join,
+              Cert(anchor, ok_join, "join_recognition",
+                   {CiteScaffoldFree(fresh, item()),
+                    CiteStructural(space,
+                                   "retired product-space numbering")}));
+}
+
 // -- forced rejection & strict fail-close --------------------------------
 
 TEST_F(CertifyCheckerTest, ForceRejectRuleFailsThatFamilyOnly) {

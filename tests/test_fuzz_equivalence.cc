@@ -2,9 +2,10 @@
 // generated documents, executed in the baseline and the fully enabled
 // configuration. Invariants:
 //
-//   * both configurations succeed or both fail (with the same status
+//   * all configurations succeed or all fail (with the same status
 //     code class) — rewriting must not introduce or mask errors;
-//   * ordered mode results are identical;
+//   * ordered mode results are identical, with and without join
+//     recognition;
 //   * unordered mode results are multiset-equal.
 //
 // The generator deliberately produces queries whose sub-expressions can
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -142,8 +144,40 @@ std::string BoolExpr(Rng* rng, int depth, const std::string& var) {
   }
 }
 
+// Two for loops joined by the inner loop's where clause, comparing a
+// path of each variable, with a return clause drawn from the shapes the
+// join recognizer re-roots: the inner variable, a path of it, a nested
+// multi-path element, an element that also reads the outer variable,
+// and a count.
+std::string JoinQuery(Rng* rng) {
+  const char* cmps[] = {"=", "<", ">"};
+  const char* paths[] = {"n", "@k", "m/@v"};
+  const char* rets[] = {
+      "$b",
+      "$b/n",
+      "<e><x>{ $b/n }</x><y>{ $b/@k }</y></e>",
+      "<e a=\"{ $a/@k }\">{ $b/m }</e>",
+      "count($b/n)",
+  };
+  std::string pred = std::string("$b/") + paths[rng->Below(3)] + " " +
+                     cmps[rng->Below(3)] + " $a/" + paths[rng->Below(3)];
+  std::string inner = std::string(R"(for $b in doc("f.xml")//g where )") +
+                      pred + " return " + rets[rng->Below(5)];
+  std::string outer = R"(for $a in doc("f.xml")/top/g )";
+  switch (rng->Below(3)) {
+    case 0:
+      return outer + inner;
+    case 1:
+      return outer + "return <o>{ " + inner + " }</o>";
+    default:
+      return outer + "return count(" + inner + ")";
+  }
+}
+
 std::string RandomQuery(Rng* rng) {
-  switch (rng->Below(5)) {
+  switch (rng->Below(6)) {
+    case 5:
+      return JoinQuery(rng);
     case 0:
       return "for $x in " + NodeExpr(rng, 2, "") + " return count($x//n)";
     case 1:
@@ -178,13 +212,19 @@ TEST_P(FuzzEquivalenceTest, ConfigurationsAgree) {
   // rather than (possibly) a silently wrong answer.
   exploit_ordered.verify_each_pass = true;
   exploit_unordered.verify_each_pass = true;
+  // Everything on except join recognition: a join-shaped query must
+  // give the same answer whether or not its join is recognized.
+  QueryOptions no_join = exploit_ordered;
+  no_join.join_recognition = false;
 
   int executed = 0;
+  size_t joined = 0;
   for (int i = 0; i < 40; ++i) {
     std::string query = RandomQuery(&rng);
     Result<QueryResult> a = session.Execute(query, baseline);
     Result<QueryResult> b = session.Execute(query, exploit_ordered);
     Result<QueryResult> c = session.Execute(query, exploit_unordered);
+    Result<QueryResult> d = session.Execute(query, no_join);
 
     ASSERT_EQ(a.ok(), b.ok()) << query << "\nbaseline: "
                               << a.status().ToString()
@@ -192,9 +232,15 @@ TEST_P(FuzzEquivalenceTest, ConfigurationsAgree) {
     ASSERT_EQ(a.ok(), c.ok()) << query << "\nbaseline: "
                               << a.status().ToString()
                               << "\nunordered: " << c.status().ToString();
-    if (!a.ok()) continue;  // both failed identically: fine
+    ASSERT_EQ(a.ok(), d.ok()) << query << "\nbaseline: "
+                              << a.status().ToString()
+                              << "\nno join:  " << d.status().ToString();
+    if (!a.ok()) continue;  // all failed identically: fine
     ++executed;
+    joined += b->plan_optimized.value_join_ops +
+              b->plan_optimized.theta_join_ops;
     EXPECT_EQ(a->items, b->items) << query;
+    EXPECT_EQ(a->items, d->items) << query;
     std::vector<std::string> sa = a->items;
     std::vector<std::string> sc = c->items;
     std::sort(sa.begin(), sa.end());
@@ -203,6 +249,10 @@ TEST_P(FuzzEquivalenceTest, ConfigurationsAgree) {
   }
   // The generator must produce mostly executable queries.
   EXPECT_GT(executed, 20);
+  // ... and the join-shaped ones must actually exercise join recognition.
+  EXPECT_GT(joined, 0u);
+  std::printf("[fuzz] seed %d: %d executed, %zu recognized joins\n",
+              GetParam(), executed, joined);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalenceTest, ::testing::Range(0, 10));

@@ -2,10 +2,13 @@
 // predicate idiom must be lifted into value/theta joins exactly when the
 // proof obligations hold, and never otherwise. Coverage:
 //
-//   * unit recognition over a handcrafted two-table document — equality
-//     and theta predicates, an `and`-conjunction (one join per
-//     conjunct), the whole-for-loop return composite, and two near-miss
-//     shapes that look like joins but must not fire;
+//   * unit recognition over handcrafted documents — equality and theta
+//     predicates, an `and`-conjunction (one join per conjunct), return
+//     clauses of every shape (the inner variable, a path, nested
+//     constructors, the outer variable, an order by), and near-miss
+//     shapes that must not fire: an inner sequence depending on the
+//     outer variable, a body reading the product space before the where
+//     filter, a positional variable;
 //   * the plan verifier's independent [join-isolation-claim] audit on
 //     hand-built plans whose join predicates touch scaffolding columns
 //     or mix hash-unsafe kinds;
@@ -14,8 +17,9 @@
 //     results, equal multisets unordered;
 //   * governor faults injected through ThetaJoin plans, a guard that
 //     the XMark theta joins run entirely on typed keys (no per-pair
-//     Compare fallback), and a CI wall-clock guard pinning Q9 under a
-//     deadline the retired product-space plan could not meet.
+//     Compare fallback), a row-count guard keeping Q10 off its product
+//     space, and a CI wall-clock guard pinning Q9 under a deadline the
+//     retired product-space plan could not meet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,11 +49,21 @@ const char kDoc[] =
     R"(<root><as><a k="1" j="1"/><a k="2" j="9"/><a k="3" j="3"/></as>)"
     R"(<bs><b k="2"/><b k="3"/><b k="5"/></bs></root>)";
 
+// Categories and people with repeated interests: the Q10 shape in
+// miniature. Di has no interest and matches nothing.
+const char kPeople[] =
+    R"(<site><cats><c>x</c><c>y</c><c>z</c></cats><people>)"
+    R"(<p><i>x</i><i>y</i><n>Ann</n><s>10</s></p>)"
+    R"(<p><i>y</i><n>Bob</n><s>20</s></p>)"
+    R"(<p><i>z</i><i>x</i><n>Cy</n><s>30</s></p>)"
+    R"(<p><n>Di</n><s>5</s></p></people></site>)";
+
 class JoinRecognitionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     session_ = new Session();
     ASSERT_TRUE(session_->LoadDocument("d.xml", kDoc).ok());
+    ASSERT_TRUE(session_->LoadDocument("e.xml", kPeople).ok());
   }
   static void TearDownTestSuite() {
     delete session_;
@@ -89,6 +103,42 @@ class JoinRecognitionTest : public ::testing::Test {
         std::sort(ia.begin(), ia.end());
         std::sort(ib.begin(), ib.end());
         EXPECT_EQ(ia, ib);
+      }
+    }
+    return out;
+  }
+
+  // Runs `q` with recognition on and off in both ordering modes at 1
+  // and 4 threads and asserts byte-identical results every time.
+  // Returns the recognized ordered result at 1 thread.
+  static QueryResult CheckIdentical(const std::string& q) {
+    QueryResult out;
+    for (OrderingMode mode :
+         {OrderingMode::kOrdered, OrderingMode::kUnordered}) {
+      for (int threads : {1, 4}) {
+        QueryOptions on;
+        on.default_ordering = mode;
+        on.num_threads = threads;
+        QueryOptions off = on;
+        off.join_recognition = false;
+        Result<QueryResult> a = Run(q, on);
+        Result<QueryResult> b = Run(q, off);
+        EXPECT_TRUE(a.ok()) << a.status().ToString();
+        EXPECT_TRUE(b.ok()) << b.status().ToString();
+        if (!a.ok() || !b.ok()) return out;
+        std::string context =
+            std::string(mode == OrderingMode::kOrdered ? "ordered"
+                                                       : "unordered") +
+            " threads=" + std::to_string(threads);
+        EXPECT_EQ(b->plan_optimized.value_join_ops, 0u) << context;
+        EXPECT_EQ(a->serialized, b->serialized) << context;
+        if (mode == OrderingMode::kOrdered && threads == 1) {
+          out = *a;
+        } else {
+          EXPECT_EQ(a->plan_optimized.value_join_ops,
+                    out.plan_optimized.value_join_ops)
+              << "recognition differs across configurations: " << context;
+        }
       }
     }
     return out;
@@ -152,6 +202,109 @@ TEST_F(JoinRecognitionTest, SemijoinReturnCompositeFires) {
   EXPECT_GE(r.plan_optimized.value_join_ops, 1u);
   EXPECT_EQ(r.serialized,
             "<hit/><hit><v k=\"2\"/></hit><hit><v k=\"3\"/></hit>");
+}
+
+// The FLWOR back-mapping anchor joins whatever the return clause
+// builds from the inner variable: each of these return shapes keeps the
+// inner loop's where filter as its only way into the product space.
+
+TEST_F(JoinRecognitionTest, ReturnedSequenceAsElementContent) {
+  QueryResult r = CheckIdentical(
+      R"(for $c in doc("e.xml")/site/cats/c
+         let $m := for $p in doc("e.xml")/site/people/p
+                   where $p/i = $c return $p
+         return <cat>{ $m }</cat>)");
+  EXPECT_GE(r.plan_optimized.value_join_ops, 1u);
+  EXPECT_EQ(r.items.size(), 3u);
+  EXPECT_NE(r.serialized.find("<cat><p><i>x</i><i>y</i><n>Ann</n>"),
+            std::string::npos)
+      << r.serialized;
+}
+
+TEST_F(JoinRecognitionTest, ReturnedPath) {
+  QueryResult r = CheckIdentical(
+      R"(for $c in doc("e.xml")/site/cats/c
+         return <cat>{ for $p in doc("e.xml")/site/people/p
+                       where $p/i = $c return $p/n }</cat>)");
+  EXPECT_GE(r.plan_optimized.value_join_ops, 1u);
+  EXPECT_EQ(r.serialized,
+            "<cat><n>Ann</n><n>Cy</n></cat>"
+            "<cat><n>Ann</n><n>Bob</n></cat>"
+            "<cat><n>Cy</n></cat>");
+}
+
+TEST_F(JoinRecognitionTest, NestedTwoPathConstructor) {
+  QueryResult r = CheckIdentical(
+      R"(for $c in doc("e.xml")/site/cats/c
+         return <cat>{ for $p in doc("e.xml")/site/people/p
+                       where $p/i = $c
+                       return <e><nm>{ $p/n/text() }</nm>
+                                 <sc>{ $p/s/text() }</sc></e> }</cat>)");
+  EXPECT_GE(r.plan_optimized.value_join_ops, 1u);
+  EXPECT_EQ(r.items[2], "<cat><e><nm>Cy</nm><sc>30</sc></e></cat>");
+}
+
+TEST_F(JoinRecognitionTest, OnePathElementBesideOuterSibling) {
+  // XMark Q10's shape: the outer return reads the outer variable next
+  // to the joined inner loop.
+  QueryResult r = CheckIdentical(
+      R"(for $c in doc("e.xml")/site/cats/c
+         let $m := for $p in doc("e.xml")/site/people/p
+                   where $p/i = $c return <nm>{ $p/n/text() }</nm>
+         return <cat>{ <id>{ $c/text() }</id>, $m }</cat>)");
+  EXPECT_GE(r.plan_optimized.value_join_ops, 1u);
+  EXPECT_EQ(r.items[1], "<cat><id>y</id><nm>Ann</nm><nm>Bob</nm></cat>");
+}
+
+TEST_F(JoinRecognitionTest, ReturnReadingTheOuterVariable) {
+  // The return body reads the outer variable through the where filter's
+  // scope, and the inner loop carries an order by.
+  QueryResult r = CheckIdentical(
+      R"(for $c in doc("e.xml")/site/cats/c
+         return <cat>{ for $p in doc("e.xml")/site/people/p
+                       where $p/i = $c
+                       order by number($p/s) descending
+                       return <m c="{ $c }">{ $p/n/text() }</m> }</cat>)");
+  EXPECT_GE(r.plan_optimized.value_join_ops, 1u);
+  EXPECT_EQ(r.items[0],
+            "<cat><m c=\"x\">Cy</m><m c=\"x\">Ann</m></cat>");
+}
+
+TEST_F(JoinRecognitionTest, UnfilteredReadOfTheInnerLoopDoesNotFire) {
+  // `let` before `where` builds an element for every product-space
+  // iteration, survivor or not: constructors can raise, so the region
+  // reaches the product space outside the where filter and is refused.
+  QueryResult r = CheckIdentical(
+      R"(for $c in doc("e.xml")/site/cats/c
+         return <cat>{ for $p in doc("e.xml")/site/people/p
+                       let $e := <e>{ $p/n/text() }</e>
+                       where $p/i = $c return $e }</cat>)");
+  EXPECT_EQ(r.plan_optimized.value_join_ops, 0u);
+  EXPECT_EQ(r.plan_optimized.theta_join_ops, 0u);
+  EXPECT_EQ(r.items[2], "<cat><e>Cy</e></cat>");
+}
+
+TEST_F(JoinRecognitionTest, PositionalVariableInReturnIsRefused) {
+  // $n ranks the product space's own numbering, which the survivor
+  // rebuild does not reproduce: refused, and the result is unchanged.
+  QueryResult r = CheckIdentical(
+      R"(for $c in doc("e.xml")/site/cats/c
+         return <cat>{ for $p at $n in doc("e.xml")/site/people/p
+                       where $p/i = $c return <m n="{ $n }"/> }</cat>)");
+  EXPECT_EQ(r.plan_optimized.value_join_ops, 0u);
+  EXPECT_EQ(r.items[0], "<cat><m n=\"1\"/><m n=\"3\"/></cat>");
+}
+
+TEST_F(JoinRecognitionTest, InnerSequenceDependingOnOuterRefusedAnyReturn) {
+  // The inner sequence steps from the outer item: not loop-invariant,
+  // whatever the return clause builds.
+  QueryResult r = CheckIdentical(
+      R"(for $p in doc("e.xml")/site/people/p
+         return <r>{ for $i in $p/i where $i = $p/n
+                     return <x>{ $i/text() }</x> }</r>)");
+  EXPECT_EQ(r.plan_optimized.value_join_ops, 0u);
+  EXPECT_EQ(r.plan_optimized.theta_join_ops, 0u);
+  EXPECT_EQ(r.items.size(), 4u);
 }
 
 TEST_F(JoinRecognitionTest, InnerSequenceDependingOnOuterDoesNotFire) {
@@ -326,6 +479,28 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, JoinCorpusQueryTest,
                            return XMarkQueries()[info.param].name;
                          });
 
+TEST_F(JoinCorpusTest, Q10InnerLoopIsJoined) {
+  // Q10's inner loop returns a nested constructor beside the outer
+  // `<id>{$i}</id>`; the FLWOR anchor joins it whatever the return
+  // builds, byte-identically in every configuration.
+  const std::string& text = XMarkQueryText("Q10");
+  for (OrderingMode mode :
+       {OrderingMode::kOrdered, OrderingMode::kUnordered}) {
+    for (int threads : {1, 4}) {
+      QueryOptions on = Threads(threads);
+      on.default_ordering = mode;
+      QueryOptions off = on;
+      off.join_recognition = false;
+      Result<QueryResult> a = session_->Execute(text, on);
+      Result<QueryResult> b = session_->Execute(text, off);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      EXPECT_GE(a->plan_optimized.value_join_ops, 1u) << threads;
+      EXPECT_EQ(a->serialized, b->serialized) << threads;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Governor faults through ThetaJoin plans.
 
@@ -422,6 +597,35 @@ TEST(ThetaKernelGuard, XMarkThetaJoinsNeverFallBack) {
       EXPECT_NE(r->profile.ToJson().find("\"theta_fallback_pairs\": 0"),
                 std::string::npos)
           << name;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Product-space guard: a deterministic row-count bound, not a wall-clock
+// one, so it holds under sanitizers. At scale 0.1 Q10's product space
+// is 100 categories x 2550 persons = 255,000 rows per operator; the
+// joined plan's largest operator input is the ~20 K rows of constructor
+// content over the ~3,100 surviving (category, person) pairs.
+
+TEST(JoinScalingGuard, Q10NeverMaterializesProductSpace) {
+  Session session;
+  XMarkOptions options;
+  options.scale = 0.1;
+  ASSERT_TRUE(
+      session.LoadDocument("auction.xml", GenerateXMark(options)).ok());
+  constexpr size_t kMaxInputRows = 50000;
+  for (OrderingMode mode :
+       {OrderingMode::kOrdered, OrderingMode::kUnordered}) {
+    QueryOptions o;
+    o.default_ordering = mode;
+    o.profile = true;
+    Result<QueryResult> r = session.Execute(XMarkQueryText("Q10"), o);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GE(r->plan_optimized.value_join_ops, 1u);
+    for (const Profile::OpMetrics& m : r->profile.ops()) {
+      EXPECT_LE(m.in_rows, kMaxInputRows)
+          << "op " << m.op << " (" << m.kind << ", " << m.prov << ")";
     }
   }
 }
