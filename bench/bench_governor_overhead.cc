@@ -8,6 +8,7 @@
 //
 //   { "bench": "governor_overhead",
 //     "scale": 0.016, "doc_bytes": N, "threads": N,
+//     "hardware_concurrency": N,
 //     "queries": [ {"name": "Q1", "off_ms": t, "armed_ms": t,
 //                   "overhead_pct": p}, ... ],
 //     "geomean_overhead_pct": p }
@@ -21,6 +22,7 @@
 // where per-op poll cost is least amortized and thus worst-case).
 #include <cmath>
 #include <cstdio>
+#include <thread>
 
 #include "bench/bench_util.h"
 #include "common/governor.h"
@@ -91,8 +93,9 @@ void Run() {
   std::fprintf(out,
                "{\n  \"bench\": \"governor_overhead\",\n"
                "  \"scale\": %g,\n  \"doc_bytes\": %zu,\n"
-               "  \"threads\": %d,\n  \"queries\": [\n",
-               scale, doc_bytes, threads);
+               "  \"threads\": %d,\n  \"hardware_concurrency\": %u,\n"
+               "  \"queries\": [\n",
+               scale, doc_bytes, threads, std::thread::hardware_concurrency());
   for (size_t r = 0; r < rows.size(); ++r) {
     double pct = rows[r].off_ms > 0
                      ? (rows[r].armed_ms / rows[r].off_ms - 1.0) * 100.0

@@ -5,13 +5,15 @@
 // BENCH_join.json:
 //
 //   { "bench": "join_recognition",
-//     "scale": s, "doc_bytes": N,
+//     "scale": s, "doc_bytes": N, "hardware_concurrency": N,
 //     "queries": [ {"name": "Q8",
 //                   "ordered":   {"off_warm_ms": t, "on_cold_ms": t,
 //                                 "on_warm_ms": t, "speedup": x},
 //                   "unordered": {...},
 //                   "joins": [ {"kind": "ValueJoin", "build_rows": n,
 //                               "probe_rows": n, "out_rows": n}, ... ]},
+//                               (kind ValueJoin, ThetaJoin or the counting
+//                               ThetaCount, whose out_rows are groups)
 //                  ... ],
 //     "geomean_warm_speedup_ordered": x,
 //     "geomean_warm_speedup_unordered": x }
@@ -28,6 +30,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -66,7 +69,8 @@ std::vector<JoinRow> ProfileJoins(Session* session, const std::string& text,
   }
   for (OpId id : plans->dag->ReachableFrom(plans->optimized)) {
     const Op& op = plans->dag->op(id);
-    bool theta = op.kind == OpKind::kThetaJoin;
+    bool counting = op.kind == OpKind::kThetaCount;
+    bool theta = op.kind == OpKind::kThetaJoin || counting;
     bool value = op.kind == OpKind::kEquiJoin && op.value_join;
     if (!theta && !value) continue;
     size_t l = out_rows.count(op.children[0]) != 0
@@ -76,11 +80,14 @@ std::vector<JoinRow> ProfileJoins(Session* session, const std::string& text,
                    ? out_rows[op.children[1]]
                    : 0;
     size_t out = out_rows.count(id) != 0 ? out_rows[id] : 0;
-    // The theta kernel probes its left (larger) input; the hash join
-    // builds on whichever side is smaller.
+    // The theta kernels probe their left input; the hash join builds on
+    // whichever side is smaller.
     size_t build = theta ? r : std::min(l, r);
     size_t probe = theta ? l : std::max(l, r);
-    joins.push_back({theta ? "ThetaJoin" : "ValueJoin", build, probe, out});
+    const char* kind = counting ? "ThetaCount"
+                       : theta  ? "ThetaJoin"
+                                : "ValueJoin";
+    joins.push_back({kind, build, probe, out});
   }
   return joins;
 }
@@ -183,8 +190,9 @@ void Run() {
   std::fprintf(out,
                "{\n  \"bench\": \"join_recognition\",\n"
                "  \"scale\": %.4f,\n  \"doc_bytes\": %zu,\n"
+               "  \"hardware_concurrency\": %u,\n"
                "  \"queries\": [\n",
-               scale, doc_bytes);
+               scale, doc_bytes, std::thread::hardware_concurrency());
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     auto mode_json = [&](const ModeRow& m) {

@@ -50,6 +50,8 @@ const char* OpKindName(OpKind kind) {
       return "Range";
     case OpKind::kCardCheck:
       return "CardCheck";
+    case OpKind::kThetaCount:
+      return "ThetaCount";
   }
   return "?";
 }
@@ -151,6 +153,26 @@ const char* AggrKindName(AggrKind kind) {
       return "str-join";
   }
   return "?";
+}
+
+bool IsRelation(FunKind f) {
+  return f == FunKind::kEq || f == FunKind::kNe || f == FunKind::kLt ||
+         f == FunKind::kLe || f == FunKind::kGt || f == FunKind::kGe;
+}
+
+FunKind MirrorRelation(FunKind f) {
+  switch (f) {
+    case FunKind::kLt:
+      return FunKind::kGt;
+    case FunKind::kLe:
+      return FunKind::kGe;
+    case FunKind::kGt:
+      return FunKind::kLt;
+    case FunKind::kGe:
+      return FunKind::kLe;
+    default:
+      return f;
+  }
 }
 
 bool Op::HasCol(ColId c) const {
@@ -333,6 +355,17 @@ std::vector<ColId> Dag::ComputeSchema(const Op& op) const {
       require_col(0, col::iter());
       require_col(1, col::iter());
       return child_schema(0);
+    case OpKind::kThetaCount: {
+      EXRQUY_CHECK(op.keys.size() == 2);
+      require_col(0, op.keys[0]);
+      require_col(1, op.keys[1]);
+      // Group and partner come from opposite inputs.
+      size_t group_side = ops_[op.children[0]].HasCol(op.part) ? 0 : 1;
+      require_col(group_side, op.part);
+      require_col(1 - group_side, op.col2);
+      EXRQUY_CHECK(op.col != op.part);
+      return {op.part, op.col};
+    }
   }
   EXRQUY_CHECK(false);
   return {};
@@ -413,9 +446,7 @@ OpId Dag::ValueJoin(OpId left, OpId right, ColId left_col, ColId right_col) {
 
 OpId Dag::ThetaJoin(OpId left, OpId right, ColId left_col, FunKind cmp,
                     ColId right_col) {
-  EXRQUY_CHECK(cmp == FunKind::kEq || cmp == FunKind::kNe ||
-               cmp == FunKind::kLt || cmp == FunKind::kLe ||
-               cmp == FunKind::kGt || cmp == FunKind::kGe);
+  EXRQUY_CHECK(IsRelation(cmp));
   Op op;
   op.kind = OpKind::kThetaJoin;
   op.children = {left, right};
@@ -423,6 +454,21 @@ OpId Dag::ThetaJoin(OpId left, OpId right, ColId left_col, FunKind cmp,
   op.col2 = right_col;
   op.fun = cmp;
   op.value_join = true;
+  return Add(std::move(op));
+}
+
+OpId Dag::ThetaCount(OpId left, OpId right, ColId left_col, FunKind cmp,
+                     ColId right_col, ColId group, ColId partner,
+                     ColId result) {
+  EXRQUY_CHECK(IsRelation(cmp));
+  Op op;
+  op.kind = OpKind::kThetaCount;
+  op.children = {left, right};
+  op.keys = {left_col, right_col};
+  op.fun = cmp;
+  op.part = group;
+  op.col2 = partner;
+  op.col = result;
   return Add(std::move(op));
 }
 

@@ -13,6 +13,9 @@
 //   #   RowId            — arbitrary unique row numbering; (nearly) free
 //   ⊕   Fun              — per-row n-ary function (arith/compare/cast/...)
 //       Aggr             — grouped aggregation (count, sum, max, ..., EBV)
+//       ThetaCount       — per-group count of distinct theta-join partners
+//                          (Aggr count over Distinct over a ThetaJoin,
+//                          without the pairs)
 //   ⊙   Step             — XPath location step (axis::nodetest)
 //       Doc              — document access (fn:doc)
 //       Elem/Attr/Text   — node constructors (runtime fragment building)
@@ -64,6 +67,7 @@ enum class OpKind : uint8_t {
   kTextNode,
   kRange,      // integer range expansion (e1 to e2)
   kCardCheck,  // per-iteration cardinality assertion (fn:exactly-one, ...)
+  kThetaCount,  // count of distinct theta-join partners per group
 };
 
 const char* OpKindName(OpKind kind);
@@ -120,6 +124,12 @@ enum class FunKind : uint8_t {
 
 const char* FunKindName(FunKind kind);
 
+// The value comparisons kEq..kGe — what theta joins may apply.
+bool IsRelation(FunKind f);
+// `a f b` holds exactly when `b MirrorRelation(f) a` does (lt <-> gt,
+// le <-> ge; eq and ne are symmetric).
+FunKind MirrorRelation(FunKind f);
+
 enum class AggrKind : uint8_t {
   kCount,
   kSum,
@@ -159,7 +169,8 @@ struct Op {
   // kSelect: col. kRowNum/kRowId: result col. kFun/kAggr: result col.
   ColId col = kNoCol;
   // kEquiJoin/kThetaJoin: left col / right col (col / col2). kAggr:
-  // argument (col2).
+  // argument (col2). kThetaCount: the partner column whose distinct
+  // values are counted (col2).
   ColId col2 = kNoCol;
   // kEquiJoin only: `value_join` marks a join emitted by the join-
   // recognition rewrite whose key columns carry *item values*, never
@@ -172,8 +183,10 @@ struct Op {
   // the operator equivalent to # — see Section 7 of the paper.)
   std::vector<SortKey> order;
   // kRowNum / kAggr: partition column (kNoCol = whole table is one group).
+  // kThetaCount: the group column (from the input opposite col2's).
   ColId part = kNoCol;
-  // kDifference / kSemiJoin: key columns.
+  // kDifference / kSemiJoin: key columns. kThetaCount: the join keys
+  // {left col, right col}.
   std::vector<ColId> keys;
   // kRowId: the ids are proven row positions (1..n in physical row
   // order), not merely arbitrary unique numbers. Set when an order-
@@ -185,7 +198,8 @@ struct Op {
   int64_t min_card = 0;
   int64_t max_card = 0;
   // kFun: function and argument columns. kThetaJoin: the comparison
-  // (kEq..kGe) applied as `col θ col2`.
+  // (kEq..kGe) applied as `col θ col2`; kThetaCount: as
+  // `keys[0] θ keys[1]`.
   FunKind fun = FunKind::kAdd;
   std::vector<ColId> args;
   // kAggr:
@@ -248,6 +262,14 @@ class Dag {
   // deterministic left-major order.
   OpId ThetaJoin(OpId left, OpId right, ColId left_col, FunKind cmp,
                  ColId right_col);
+  // Per group g (`group`, a column of either input), the number of
+  // distinct values of `partner` (a column of the other input) over the
+  // pairs with `left.left_col cmp right.right_col`: Aggr count|group
+  // (π group (Distinct (π group,partner (ThetaJoin)))) without the pairs.
+  // Output schema (group, result); groups without a partner are absent.
+  OpId ThetaCount(OpId left, OpId right, ColId left_col, FunKind cmp,
+                  ColId right_col, ColId group, ColId partner,
+                  ColId result);
   OpId Cross(OpId left, OpId right);
   // Convenience: × with a one-row literal table [col = value] (the idiom
   // the paper writes as q × (pos 1), nearly free on table descriptors).

@@ -140,6 +140,11 @@ std::string OpToString(const Dag& dag, OpId id, const StrPool& strings) {
     case OpKind::kCardCheck:
       out << "CardCheck [" << op.min_card << "," << op.max_card << "]";
       break;
+    case OpKind::kThetaCount:
+      out << "ThetaCount " << ColName(op.col) << ":count(" << ColName(op.col2)
+          << ")|" << ColName(op.part) << " on " << ColName(op.keys[0]) << " "
+          << FunKindName(op.fun) << " " << ColName(op.keys[1]);
+      break;
   }
   return out.str();
 }

@@ -106,6 +106,7 @@ Result<QueryPlans> PlanQuery(std::string_view query,
   oopts.verify_each_pass = options.verify_each_pass;
   oopts.strings = strings;
   oopts.trade_log = &plans.trades;
+  oopts.certify_ms = &plans.certify_ms;
   Clock::time_point optimize_start = Clock::now();
   EXRQUY_ASSIGN_OR_RETURN(
       plans.optimized, Optimize(plans.dag.get(), plans.initial, oopts));

@@ -148,6 +148,9 @@ struct QueryPlans {
   // Wall time of the Optimize call: every rewrite pass, its analyses,
   // per-pass verification and certification.
   double optimize_ms = 0;
+  // Certification's own share of optimize_ms: the certificate checks,
+  // timed where they run.
+  double certify_ms = 0;
 };
 
 // The front half of the pipeline — parse -> normalize -> compile ->

@@ -13,6 +13,7 @@
 #include <span>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -349,19 +350,32 @@ bool CastNumeric(const Column& keys, size_t b, size_t e, const ValueOps& ops,
 }
 
 // Three-way comparison with ValueOps::Compare's numeric semantics: exact
-// on int64, the sign of the difference on doubles (so NaN compares equal
-// to everything, as there).
+// on int64; on doubles kUnordered when either side is NaN, under which
+// every relation but ne fails (Holds).
+constexpr int kUnordered = 2;
 inline int Cmp3(int64_t a, int64_t b) {
   return static_cast<int>(a > b) - static_cast<int>(a < b);
 }
 inline int Cmp3(double a, double b) {
-  double d = a - b;
-  return static_cast<int>(d > 0) - static_cast<int>(d < 0);
+  return a < b ? -1 : a > b ? 1 : a == b ? 0 : kUnordered;
 }
 
-bool IsRelation(FunKind f) {
-  return f == FunKind::kEq || f == FunKind::kNe || f == FunKind::kLt ||
-         f == FunKind::kLe || f == FunKind::kGt || f == FunKind::kGe;
+// Whether relation f (kEq..kGe) holds for a Cmp3 result.
+inline bool Holds(FunKind f, int c) {
+  switch (f) {
+    case FunKind::kEq:
+      return c == 0;
+    case FunKind::kNe:
+      return c != 0;
+    case FunKind::kLt:
+      return c == -1;
+    case FunKind::kLe:
+      return c == -1 || c == 0;
+    case FunKind::kGt:
+      return c == 1;
+    default:  // kGe; callers pass relations only
+      return c == 0 || c == 1;
+  }
 }
 
 // The one ThetaJoin nested loop: pairs (i, j), i in [b, e), j in [0, m),
@@ -398,26 +412,102 @@ template <typename K, typename Poll>
 Status ScanTyped(FunKind f, const K* lk, size_t b, size_t e, const K* rk,
                  size_t m, const Poll& poll, std::vector<uint32_t>* l_rows,
                  std::vector<uint32_t>* r_rows) {
-  auto scan = [&](auto holds) {
+  // One instantiation per relation keeps the relation out of the loop.
+  auto scan = [&](auto rel) {
     return ThetaNestedLoop(
         b, e, m,
-        [&](size_t i, size_t j) { return holds(Cmp3(lk[i - b], rk[j])); },
+        [&](size_t i, size_t j) {
+          return Holds(decltype(rel)::value, Cmp3(lk[i - b], rk[j]));
+        },
         poll, l_rows, r_rows);
   };
   switch (f) {
     case FunKind::kEq:
-      return scan([](int c) { return c == 0; });
+      return scan(std::integral_constant<FunKind, FunKind::kEq>{});
     case FunKind::kNe:
-      return scan([](int c) { return c != 0; });
+      return scan(std::integral_constant<FunKind, FunKind::kNe>{});
     case FunKind::kLt:
-      return scan([](int c) { return c < 0; });
+      return scan(std::integral_constant<FunKind, FunKind::kLt>{});
     case FunKind::kLe:
-      return scan([](int c) { return c <= 0; });
+      return scan(std::integral_constant<FunKind, FunKind::kLe>{});
     case FunKind::kGt:
-      return scan([](int c) { return c > 0; });
+      return scan(std::integral_constant<FunKind, FunKind::kGt>{});
     default:  // kGe; callers pass relations only
-      return scan([](int c) { return c >= 0; });
+      return scan(std::integral_constant<FunKind, FunKind::kGe>{});
   }
+}
+
+// Each group's extreme key (its max when `want_max`, else its min) over
+// keys[row] of the group's rows, skipping NaN, which satisfies no order
+// relation; has[g] is 0 when every key of group g is NaN.
+template <typename K>
+void GroupExtremes(const RowGroups& groups, const K* keys, bool want_max,
+                   std::vector<K>* ext, std::vector<uint8_t>* has) {
+  ext->assign(groups.size(), K{});
+  has->assign(groups.size(), 0);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (uint32_t row : groups.rows(g)) {
+      K k = keys[row];
+      if (k != k) continue;  // NaN
+      if (!(*has)[g] || (want_max ? k > (*ext)[g] : k < (*ext)[g])) {
+        (*ext)[g] = k;
+        (*has)[g] = 1;
+      }
+    }
+  }
+}
+
+// The counting theta join's band path, for f in lt/le/gt/ge over one
+// total order (keys lk of the left rows, rk of the right rows). Some key
+// a of left group x and b of right group y satisfy `a f b` exactly when
+// the groups' extremes do: min(x) f max(y) for lt/le, max(x) f min(y)
+// for gt/ge. So each side reduces to one extreme per group, the
+// partner side's extremes are sorted once, and each group's count is one
+// binary search: O((|L| + |R|) log |R|), no pair is ever formed.
+template <typename K>
+std::vector<int64_t> BandCounts(FunKind f, const K* lk, const K* rk,
+                                const RowGroups& lg, const RowGroups& rg,
+                                bool group_left) {
+  const bool left_smaller = f == FunKind::kLt || f == FunKind::kLe;
+  std::vector<K> lext;
+  std::vector<K> rext;
+  std::vector<uint8_t> lhas;
+  std::vector<uint8_t> rhas;
+  GroupExtremes(lg, lk, /*want_max=*/!left_smaller, &lext, &lhas);
+  GroupExtremes(rg, rk, /*want_max=*/left_smaller, &rext, &rhas);
+  const std::vector<K>& gext = group_left ? lext : rext;
+  const std::vector<uint8_t>& ghas = group_left ? lhas : rhas;
+  const std::vector<K>& pext = group_left ? rext : lext;
+  const std::vector<uint8_t>& phas = group_left ? rhas : lhas;
+  std::vector<K> sorted;
+  sorted.reserve(pext.size());
+  for (size_t p = 0; p < pext.size(); ++p) {
+    if (phas[p]) sorted.push_back(pext[p]);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  // Count the partner extremes y with `y rel x`.
+  const FunKind rel = group_left ? MirrorRelation(f) : f;
+  std::vector<int64_t> counts(gext.size(), 0);
+  for (size_t g = 0; g < gext.size(); ++g) {
+    if (!ghas[g]) continue;
+    auto lo = std::lower_bound(sorted.begin(), sorted.end(), gext[g]);
+    auto hi = std::upper_bound(lo, sorted.end(), gext[g]);
+    switch (rel) {
+      case FunKind::kLt:
+        counts[g] = lo - sorted.begin();
+        break;
+      case FunKind::kLe:
+        counts[g] = hi - sorted.begin();
+        break;
+      case FunKind::kGt:
+        counts[g] = sorted.end() - hi;
+        break;
+      default:  // kGe
+        counts[g] = sorted.end() - lo;
+        break;
+    }
+  }
+  return counts;
 }
 
 }  // namespace
@@ -992,16 +1082,24 @@ void Evaluator::RunOne(Sched* s, size_t i, bool queued,
   double queue_ms = queued ? MsSince(s->ready_at[i]) : 0;
   KernelNotes notes;
   tls_notes = &notes;
+  // Waiting for the store hold — a constructor's exclusive hold waits
+  // out every running reader, a reader waits out a running constructor —
+  // is booked as blocked time, never as kernel time.
+  Clock::time_point wait_start = Clock::now();
+  std::unique_lock<std::shared_mutex> excl(store_mu_, std::defer_lock);
+  std::shared_lock<std::shared_mutex> shared(store_mu_, std::defer_lock);
+  if (IsNodeConstructor(op.kind)) {
+    excl.lock();
+  } else {
+    shared.lock();
+  }
   Clock::time_point start = Clock::now();
-  Result<TablePtr> r = [&]() -> Result<TablePtr> {
-    if (IsNodeConstructor(op.kind)) {
-      std::unique_lock<std::shared_mutex> lock(store_mu_);
-      return EvalOp(op, in);
-    }
-    std::shared_lock<std::shared_mutex> lock(store_mu_);
-    return EvalOp(op, in);
-  }();
+  double blocked_ms =
+      std::chrono::duration<double, std::milli>(start - wait_start).count();
+  Result<TablePtr> r = EvalOp(op, in);
   double ms = MsSince(start);
+  if (excl.owns_lock()) excl.unlock();
+  if (shared.owns_lock()) shared.unlock();
   tls_notes = nullptr;
   in.clear();
 
@@ -1026,6 +1124,7 @@ void Evaluator::RunOne(Sched* s, size_t i, bool queued,
         Profile::OpMetrics m;
         m.op = s->ids[i];
         m.ms = ms;
+        m.blocked_ms = blocked_ms;
         m.queue_ms = queue_ms;
         m.in_rows = in_rows;
         m.out_rows = t->rows();
@@ -1050,16 +1149,19 @@ void Evaluator::RunPipelineUnit(Sched* s, size_t i, bool queued,
   const bool prof = s->track;
   std::vector<Profile::OpMetrics> sm;
   Profile::PipelineMetrics pm;
+  // No fused stage constructs nodes, so the whole pipeline (and the
+  // morsel tasks it fans out, which its ParallelFor outlives) runs under
+  // a shared store hold, like any reading operator; waiting for it is
+  // blocked time, as in RunOne.
+  Clock::time_point wait_start = Clock::now();
+  std::shared_lock<std::shared_mutex> hold(store_mu_);
   Clock::time_point start = Clock::now();
-  Result<TablePtr> r = [&]() -> Result<TablePtr> {
-    // No fused stage constructs nodes, so the whole pipeline (and the
-    // morsel tasks it fans out, which its ParallelFor outlives) runs
-    // under a shared store hold, like any reading operator.
-    std::shared_lock<std::shared_mutex> lock(store_mu_);
-    return EvalPipeline(pidx, input, prof ? &sm : nullptr,
-                        prof ? &pm : nullptr);
-  }();
+  double blocked_ms =
+      std::chrono::duration<double, std::milli>(start - wait_start).count();
+  Result<TablePtr> r = EvalPipeline(pidx, input, prof ? &sm : nullptr,
+                                    prof ? &pm : nullptr);
   double ms = MsSince(start);
+  hold.unlock();
 
   if (r.ok() && tripped_.load(std::memory_order_acquire)) {
     r = TripStatus();
@@ -1085,6 +1187,7 @@ void Evaluator::RunPipelineUnit(Sched* s, size_t i, bool queued,
           ctx_->profile->Record(dag_.op(m.op), std::move(m));
         }
         pm.ms = ms;
+        pm.blocked_ms = blocked_ms;
         pm.queue_ms = queue_ms;
         ctx_->profile->RecordPipeline(pm);
       }
@@ -1803,6 +1906,8 @@ Result<TablePtr> Evaluator::EvalOp(const Op& op,
       return EvalRange(op, child(0));
     case OpKind::kCardCheck:
       return EvalCardCheck(op, child(0), child(1));
+    case OpKind::kThetaCount:
+      return EvalThetaCount(op, child(0), child(1));
   }
   return Internal("unhandled operator");
 }
@@ -1967,6 +2072,114 @@ Result<TablePtr> Evaluator::EvalThetaJoin(const Op& op, const Table& l,
   for (uint64_t f : fallback) NoteThetaFallback(f);
   return GatherPairs(l, ConcatChunks(l_parts), r, ConcatChunks(r_parts),
                      /*parallel=*/true);
+}
+
+Result<TablePtr> Evaluator::EvalThetaCount(const Op& op, const Table& l,
+                                           const Table& r) {
+  // Aggr count|g (π g (Distinct (π g,h (ThetaJoin θ (L, R))))) without
+  // the pairs. L and R rows are grouped by their iteration column (g on
+  // one side, the partner h on the other) in first-appearance order, and
+  // each g-group counts the h-groups holding a key that θ-matches one of
+  // its own. Keys are cast once into the comparison domain ThetaJoin
+  // would use (ThetaBuild). Output: the g-groups with a partner, in
+  // first-appearance order.
+  const bool group_left = l.HasCol(op.part);
+  auto out = std::make_shared<Table>();
+  Column part_out;
+  Column result;
+  if (l.rows() > 0 && r.rows() > 0) {
+    const RowGroups lg({&l.col(group_left ? op.part : op.col2)}, l.rows(),
+                       /*normalize_keys=*/false, /*member_rows=*/true);
+    const RowGroups rg({&r.col(group_left ? op.col2 : op.part)}, r.rows(),
+                       /*normalize_keys=*/false, /*member_rows=*/true);
+    const Column& lk = l.col(op.keys[0]);
+    ThetaBuild build(r, op.keys[1], ops_);
+    std::vector<int64_t> li;
+    std::vector<double> ld;
+    const int64_t* ri = nullptr;
+    const double* rd = nullptr;
+    const ThetaBuild::Domain domain =
+        build.Probe(lk, 0, l.rows(), &li, &ri, &ld, &rd);
+    const bool band = op.fun == FunKind::kLt || op.fun == FunKind::kLe ||
+                      op.fun == FunKind::kGt || op.fun == FunKind::kGe;
+    std::vector<int64_t> counts;
+    if (band && domain == ThetaBuild::kInt) {
+      counts = BandCounts(op.fun, li.data(), ri, lg, rg, group_left);
+    } else if (band && domain == ThetaBuild::kDouble) {
+      counts = BandCounts(op.fun, ld.data(), rd, lg, rg, group_left);
+    } else {
+      // eq/ne, or keys without one domain: every pair, visited by left
+      // group and within it by ascending row, so a per-right-group stamp
+      // of the current left group counts each (L-group, R-group) once.
+      // Of the failing pairs, the one a left-major scan meets first
+      // wins: a row after the failing row found so far is skipped, and
+      // a row stops at its first failing pair.
+      counts.assign((group_left ? lg : rg).size(), 0);
+      std::vector<uint32_t> rgroup(r.rows());
+      for (size_t y = 0; y < rg.size(); ++y) {
+        for (uint32_t j : rg.rows(y)) rgroup[j] = static_cast<uint32_t>(y);
+      }
+      std::vector<uint32_t> stamp(rg.size(), UINT32_MAX);
+      Status err;
+      size_t err_row = SIZE_MAX;
+      size_t since_poll = 0;
+      auto scan = [&](const auto& decide) -> Status {
+        for (size_t x = 0; x < lg.size(); ++x) {
+          for (uint32_t i : lg.rows(x)) {
+            if (i > err_row) continue;
+            if (since_poll >= 0x10000) {
+              since_poll = 0;
+              EXRQUY_RETURN_IF_ERROR(PollGovernor());
+            }
+            since_poll += r.rows();
+            for (size_t j = 0; j < r.rows(); ++j) {
+              int d = decide(i, j);
+              if (d < 0) {
+                err_row = i;
+                break;
+              }
+              uint32_t y = rgroup[j];
+              if (d == 0 || stamp[y] == x) continue;
+              stamp[y] = static_cast<uint32_t>(x);
+              ++counts[group_left ? x : y];
+            }
+          }
+        }
+        return err;
+      };
+      if (domain == ThetaBuild::kInt) {
+        EXRQUY_RETURN_IF_ERROR(scan([&](size_t i, size_t j) {
+          return static_cast<int>(Holds(op.fun, Cmp3(li[i], ri[j])));
+        }));
+      } else if (domain == ThetaBuild::kDouble) {
+        EXRQUY_RETURN_IF_ERROR(scan([&](size_t i, size_t j) {
+          return static_cast<int>(Holds(op.fun, Cmp3(ld[i], rd[j])));
+        }));
+      } else {
+        NoteThetaFallback(static_cast<uint64_t>(l.rows()) * r.rows());
+        EXRQUY_RETURN_IF_ERROR(scan([&](size_t i, size_t j) {
+          Result<Value> v = ops_.Compare(op.fun, lk[i], r.col(op.keys[1])[j]);
+          if (!v.ok()) {
+            err = v.status();
+            return -1;
+          }
+          return static_cast<int>(v->b);
+        }));
+      }
+    }
+    const RowGroups& gg = group_left ? lg : rg;
+    const Column& gcol = (group_left ? l : r).col(op.part);
+    for (size_t g = 0; g < counts.size(); ++g) {
+      if (counts[g] == 0) continue;
+      part_out.push_back(gcol[gg.reps()[g]]);
+      result.push_back(Value::Int(counts[g]));
+    }
+  }
+  const size_t n = result.size();
+  out->AddColumn(op.part, std::move(part_out));
+  out->AddColumn(op.col, std::move(result));
+  out->SetRows(n);
+  return out;
 }
 
 Result<TablePtr> Evaluator::EvalCross(const Op& op, const Table& l,

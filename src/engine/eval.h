@@ -130,7 +130,7 @@ class Evaluator {
 
  private:
   struct Sched;       // per-Eval scheduler state (eval.cc)
-  struct ThetaBuild;  // a ThetaJoin's prepared build side (eval.cc)
+  struct ThetaBuild;  // a theta join's prepared build side (eval.cc)
 
   // -- Governor (cancel/deadline/budget/faults) ----------------------------
   // Latches the first trip status; later trips are ignored.
@@ -241,6 +241,8 @@ class Evaluator {
   Result<TablePtr> EvalSelect(const Op& op, const Table& in);
   Result<TablePtr> EvalEquiJoin(const Op& op, const Table& l, const Table& r);
   Result<TablePtr> EvalThetaJoin(const Op& op, const Table& l, const Table& r);
+  Result<TablePtr> EvalThetaCount(const Op& op, const Table& l,
+                                  const Table& r);
   Result<TablePtr> EvalCross(const Op& op, const Table& l, const Table& r);
   Result<TablePtr> EvalUnion(const Op& op, const Table& l, const Table& r);
   Result<TablePtr> EvalDiffSemi(const Op& op, const Table& l, const Table& r);

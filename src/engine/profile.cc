@@ -189,6 +189,8 @@ std::string Profile::ToJson() const {
     AppendJsonString(m.prov, &out);
     out += ", \"ms\": ";
     AppendNumber(m.ms, &out);
+    out += ", \"blocked_ms\": ";
+    AppendNumber(m.blocked_ms, &out);
     out += ", \"queue_ms\": ";
     AppendNumber(m.queue_ms, &out);
     std::snprintf(buf, sizeof(buf),
@@ -197,7 +199,7 @@ std::string Profile::ToJson() const {
                   m.in_rows, m.out_rows, m.chunks,
                   static_cast<long long>(m.pipeline));
     out += buf;
-    if (m.kind == "ThetaJoin") {
+    if (m.kind == "ThetaJoin" || m.kind == "ThetaCount") {
       std::snprintf(buf, sizeof(buf), ", \"theta_fallback_pairs\": %llu",
                     static_cast<unsigned long long>(m.theta_fallback_pairs));
       out += buf;
@@ -215,6 +217,8 @@ std::string Profile::ToJson() const {
                   m.id, m.head, m.sink, m.stages, m.morsels);
     out += buf;
     AppendNumber(m.ms, &out);
+    out += ", \"blocked_ms\": ";
+    AppendNumber(m.blocked_ms, &out);
     out += ", \"queue_ms\": ";
     AppendNumber(m.queue_ms, &out);
     std::snprintf(buf, sizeof(buf), ", \"in_rows\": %zu, \"out_rows\": %zu}",

@@ -36,6 +36,10 @@ class Profile {
     std::string kind;        // OpKindName
     std::string prov;        // provenance label ("" when unlabeled)
     double ms = 0;           // kernel wall time
+    // Wait for the node-store hold before the kernel ran: behind a
+    // constructor's exclusive hold, or — for a constructor — behind the
+    // readers it must exclude. Never part of `ms`.
+    double blocked_ms = 0;
     // Scheduler-queue wait, ready -> start, charged once per *scheduled
     // unit*: 0 for fused pipeline stages (the wait is on the pipeline's
     // record) and for units run inline on the thread that readied them —
@@ -48,8 +52,8 @@ class Profile {
     // ran standalone. Fused stages report per-morsel-summed wall time
     // and exact row counts, but no queue wait of their own.
     int64_t pipeline = -1;
-    // ThetaJoin only: pairs decided by the per-pair ValueOps::Compare
-    // fallback instead of the typed-key scan (engine/eval.cc ThetaRange).
+    // ThetaJoin/ThetaCount only: pairs decided by the per-pair
+    // ValueOps::Compare fallback instead of typed keys (engine/eval.cc).
     uint64_t theta_fallback_pairs = 0;
   };
 
@@ -64,6 +68,7 @@ class Profile {
     // already land in total_ms() via their OpMetrics, so this is NOT
     // added to total_ms() again.
     double ms = 0;
+    double blocked_ms = 0;   // store-hold wait before the unit ran
     double queue_ms = 0;     // ready -> start, once for the whole unit
     size_t in_rows = 0;      // morsel-domain (head source) rows
     size_t out_rows = 0;     // sink output rows

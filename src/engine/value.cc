@@ -211,7 +211,14 @@ Result<Value> ValueOps::Compare(FunKind op, Value a, Value b) const {
     if (a.kind == ValueKind::kInt && b.kind == ValueKind::kInt) {
       return ApplyRelation(op, a.i < b.i ? -1 : (a.i > b.i ? 1 : 0));
     }
-    return ApplyRelation(op, Sign(AsDouble(a) - AsDouble(b)));
+    double da = AsDouble(a);
+    double db = AsDouble(b);
+    // NaN is unordered (op:numeric-equal/-less-than/-greater-than): every
+    // relation is false except ne.
+    if (std::isnan(da) || std::isnan(db)) {
+      return Value::Bool(op == FunKind::kNe);
+    }
+    return ApplyRelation(op, Sign(da - db));
   }
   bool a_str = a.kind == ValueKind::kString || a.kind == ValueKind::kUntyped;
   bool b_str = b.kind == ValueKind::kString || b.kind == ValueKind::kUntyped;

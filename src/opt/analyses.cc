@@ -113,6 +113,14 @@ struct LivenessAnalysis {
         need(0, op.part);
         for (ColId k : op.keys) need(0, k);
         break;
+      case OpKind::kThetaCount: {
+        size_t g = dag.op(op.children[0]).HasCol(op.part) ? 0 : 1;
+        need(g, op.part);
+        need(1 - g, op.col2);
+        need(0, op.keys[0]);
+        need(1, op.keys[1]);
+        break;
+      }
       case OpKind::kStep:
         need(0, col::iter());
         need(0, col::item());
@@ -256,8 +264,14 @@ ColProps ConstArbAnalysis::Transfer(
       if (all_const) out.constant.insert(op.col);
       break;
     }
-    case OpKind::kAggr: {
-      const ColProps& p = child(0);
+    case OpKind::kAggr:
+    case OpKind::kThetaCount: {
+      // The group column keeps its input side's properties.
+      size_t g = op.kind == OpKind::kThetaCount &&
+                         !dag.op(op.children[0]).HasCol(op.part)
+                     ? 1
+                     : 0;
+      const ColProps& p = child(g);
       if (op.part != kNoCol) {
         if (p.constant.count(op.part) != 0) out.constant.insert(op.part);
         if (p.arbitrary.count(op.part) != 0) out.arbitrary.insert(op.part);
@@ -382,6 +396,11 @@ CardRange CardAnalysis::Transfer(
         out.max = child(0).max;
       }
       break;
+    case OpKind::kThetaCount:
+      // At most one row per group; a group may have no partner at all.
+      out.min = 0;
+      out.max = child(dag.op(op.children[0]).HasCol(op.part) ? 0 : 1).max;
+      break;
     case OpKind::kStep:
     case OpKind::kRange:
       // Arbitrary fan-out per context row; empty context stays empty.
@@ -406,6 +425,51 @@ const CardRange& CardTracker::Get(OpId id) { return engine_.Get(id); }
 // ---------------------------------------------------------------------------
 // Key columns.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// Follows `c` at `id` down through renaming projections to the operator
+// and column it is copied from.
+std::pair<OpId, ColId> ColOrigin(const Dag& dag, OpId id, ColId c) {
+  while (dag.op(id).kind == OpKind::kProject) {
+    const Op& p = dag.op(id);
+    auto it = std::find_if(p.proj.begin(), p.proj.end(),
+                           [&](const auto& pc) { return pc.first == c; });
+    if (it == p.proj.end()) break;
+    c = it->second;
+    id = p.children[0];
+  }
+  return {id, c};
+}
+
+// The loop-lifting complement of `a`: when `b` is
+// (Difference on c (L, π c A′)) × a one-row literal, in either product
+// order, and A′'s c is copied from the same column as `a`'s, `b` holds
+// exactly the c values of L that `a` lacks — returns c, else kNoCol.
+// (The compiler emits this shape to give every iteration without a
+// result its default item: count() = 0, EBV = false, "" content.)
+ColId ComplementKey(const Dag& dag, OpId a, OpId b) {
+  const Op& x = dag.op(b);
+  if (x.kind != OpKind::kCross) return kNoCol;
+  for (int d = 0; d < 2; ++d) {
+    const Op& diff = dag.op(x.children[d]);
+    const Op& lit = dag.op(x.children[1 - d]);
+    if (diff.kind != OpKind::kDifference || diff.keys.size() != 1 ||
+        lit.kind != OpKind::kLit || lit.lit.rows.size() != 1) {
+      continue;
+    }
+    ColId c = diff.keys[0];
+    OpId sub = diff.children[1];
+    if (!dag.op(a).HasCol(c) || dag.op(sub).kind != OpKind::kProject ||
+        dag.op(sub).schema != std::vector<ColId>{c}) {
+      continue;
+    }
+    if (ColOrigin(dag, a, c) == ColOrigin(dag, sub, c)) return c;
+  }
+  return kNoCol;
+}
+
+}  // namespace
 
 ColSet KeyAnalysis::Bottom(const Dag&, OpId) const { return {}; }
 
@@ -482,12 +546,21 @@ ColSet KeyAnalysis::Transfer(const Dag& dag, OpId id,
       break;
     }
     case OpKind::kUnion: {
-      // Cross-branch value reasoning is out of scope; only a statically
-      // empty branch preserves the other branch's keys.
+      // A statically empty branch preserves the other branch's keys.
+      // Otherwise only the loop-lifting complement union keeps one: the
+      // branches' values of c are disjoint, so keys on both stay keys.
       if (cards->Get(op.children[0]).max == 0) {
         inherit(child(1));
       } else if (cards->Get(op.children[1]).max == 0) {
         inherit(child(0));
+      } else {
+        for (int a = 0; a < 2; ++a) {
+          ColId c = ComplementKey(dag, op.children[a], op.children[1 - a]);
+          if (c != kNoCol && child(a).count(c) != 0 &&
+              child(1 - a).count(c) != 0) {
+            out.insert(c);
+          }
+        }
       }
       break;
     }
@@ -505,6 +578,7 @@ ColSet KeyAnalysis::Transfer(const Dag& dag, OpId id,
       inherit(child(0));
       break;
     case OpKind::kAggr:
+    case OpKind::kThetaCount:
       if (op.part != kNoCol) out.insert(op.part);  // one row per group
       break;
     case OpKind::kStep:
@@ -803,6 +877,15 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
           break;
       }
       if (k != ItemKind::kAny) out.kinds[op.col] = k;
+      break;
+    }
+    case OpKind::kThetaCount: {
+      const SemType& t =
+          child(dag.op(op.children[0]).HasCol(op.part) ? 0 : 1);
+      ItemKind pk = t.KindOf(op.part);
+      if (pk != ItemKind::kAny) out.kinds.emplace(op.part, pk);
+      out.unit_groups.insert(op.part);  // one row per group
+      out.kinds[op.col] = ItemKind::kInt;
       break;
     }
     case OpKind::kStep: {
@@ -1268,6 +1351,10 @@ OrderFacts OrderAnalysis::Transfer(
     case OpKind::kTextNode:
       // Constructor output order is an engine detail we leave opaque.
       break;
+    case OpKind::kThetaCount:
+      // Its group order is an engine detail too (first appearance on the
+      // group side, which the rewrite does not preserve).
+      break;
   }
   return out;
 }
@@ -1314,6 +1401,7 @@ bool RaiseAnalysis::Transfer(const Dag& dag, OpId id,
       // a rewrite.
       return cards->Get(op.children[0]).max > 0;
     case OpKind::kThetaJoin:
+    case OpKind::kThetaCount:
       // The comparison raises on incomparable pairs — only when pairs
       // can exist at all.
       return cards->Get(op.children[0]).max > 0 &&
@@ -1360,6 +1448,9 @@ std::string ReasonLabel(const Dag& dag, OpId consumer,
     case OpKind::kEquiJoin:
     case OpKind::kThetaJoin:
       what = "join condition";
+      break;
+    case OpKind::kThetaCount:
+      what = "counting join (condition and groups)";
       break;
     case OpKind::kDifference:
       what = "anti-join keys";
@@ -1524,6 +1615,14 @@ struct ProvenanceAnalysis {
         need(0, op.part);
         for (ColId k : op.keys) need(0, k);
         break;
+      case OpKind::kThetaCount: {
+        size_t g = dg.op(op.children[0]).HasCol(op.part) ? 0 : 1;
+        need(g, op.part);
+        need(1 - g, op.col2);
+        need(0, op.keys[0]);
+        need(1, op.keys[1]);
+        break;
+      }
       case OpKind::kStep:
         need(0, col::iter());
         need(0, col::item());

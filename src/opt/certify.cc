@@ -27,6 +27,7 @@ const char* ObligationFor(const std::string& rule) {
   if (rule == "semantic-type") return "unit-group";
   if (rule == "order-dependency") return "sorted-prefix";
   if (rule == "join_recognition") return "join-isolation";
+  if (rule == "count_join") return "pair-count";
   return "unknown-family";
 }
 
@@ -54,6 +55,68 @@ bool DisjointSteps(const Dag& dag, OpId a, OpId b) {
          sa.test.kind == NodeTest::Kind::kName &&
          sb.test.kind == NodeTest::Kind::kName &&
          sa.test.name != sb.test.name;
+}
+
+// The chain a count_join certificate retires, re-matched from its Aggr:
+//   Aggr count|g ( [π g | ⋈ g=k (·, M)]* Distinct ( π g,h ( ThetaJoin ) ) )
+struct CountChain {
+  OpId theta = kNoOp;
+  ColId g_in = kNoCol;  // the group column at the ThetaJoin
+  ColId h_in = kNoCol;  // the partner column at the ThetaJoin
+  std::vector<std::pair<OpId, ColId>> filters;  // (M, k), top-down
+};
+
+// Re-matches the chain below `aggr`; an empty string on success, else
+// what does not match.
+std::string MatchCountChain(const Dag& dag, const Op& aggr, CountChain* out) {
+  if (aggr.kind != OpKind::kAggr || aggr.aggr != AggrKind::kCount ||
+      aggr.part == kNoCol) {
+    return "the rewritten operator is not a grouped count";
+  }
+  ColId g = aggr.part;
+  OpId cur = aggr.children[0];
+  while (dag.op(cur).kind != OpKind::kDistinct) {
+    const Op& c = dag.op(cur);
+    if (c.kind == OpKind::kProject && c.schema == std::vector<ColId>{g}) {
+      g = c.proj[0].second;
+      cur = c.children[0];
+    } else if (c.kind == OpKind::kEquiJoin &&
+               dag.op(c.children[0]).schema == std::vector<ColId>{g} &&
+               c.col == g) {
+      out->filters.emplace_back(c.children[1], c.col2);
+      cur = c.children[0];
+    } else if (c.kind == OpKind::kEquiJoin &&
+               dag.op(c.children[1]).schema == std::vector<ColId>{g} &&
+               c.col2 == g) {
+      out->filters.emplace_back(c.children[0], c.col);
+      cur = c.children[1];
+    } else {
+      return "op " + std::to_string(cur) +
+             " between the count and the pair Distinct is neither a "
+             "projection of the group nor a filter join on it";
+    }
+  }
+  const Op& pair = dag.op(dag.op(cur).children[0]);
+  if (pair.kind != OpKind::kProject || pair.proj.size() != 2 ||
+      (pair.proj[0].first != g && pair.proj[1].first != g)) {
+    return "the Distinct is not over a (group, partner) projection";
+  }
+  const Op& theta = dag.op(pair.children[0]);
+  if (theta.kind != OpKind::kThetaJoin) {
+    return "the (group, partner) pairs do not come from a ThetaJoin";
+  }
+  bool g_first = pair.proj[0].first == g;
+  out->theta = pair.children[0];
+  out->g_in = pair.proj[g_first ? 0 : 1].second;
+  out->h_in = pair.proj[g_first ? 1 : 0].second;
+  const Op& l = dag.op(theta.children[0]);
+  if (l.HasCol(out->g_in) == l.HasCol(out->h_in)) {
+    return "group '" + ColName(out->g_in) + "' and partner '" +
+           ColName(out->h_in) +
+           "' come from the same join input: their pairs are not a "
+           "per-group partner count";
+  }
+  return "";
 }
 
 }  // namespace
@@ -654,6 +717,106 @@ bool CertifyChecker::CheckFamily(RewriteCertificate* cert) {
     }
     if (joins == 0) {
       return Fail(cert, ob, "the replacement contains no value join");
+    }
+    return true;
+  }
+
+  if (cert->rule == "count_join") {
+    // The chain is matched below the count rebuilt over the pass's
+    // rewritten inputs (the first cited structural fact), which must be
+    // the rewritten count itself.
+    const CitedFact* count = nullptr;
+    for (const CitedFact& f : cert->cited) {
+      if (f.kind == CitedFact::Kind::kStructural) {
+        count = &f;
+        break;
+      }
+    }
+    if (count == nullptr) {
+      return Fail(cert, ob, "no count over the pass's inputs is cited");
+    }
+    const Op& rebuilt = dag_->op(count->op);
+    if (from.kind != OpKind::kAggr || rebuilt.kind != OpKind::kAggr ||
+        rebuilt.aggr != from.aggr || rebuilt.col != from.col ||
+        rebuilt.part != from.part) {
+      return Fail(cert, ob,
+                  "cited op " + std::to_string(count->op) +
+                      " is not the rewritten count");
+    }
+    CountChain chain;
+    std::string bad = MatchCountChain(*dag_, rebuilt, &chain);
+    if (!bad.empty()) return Fail(cert, ob, bad);
+    for (const auto& [m, k] : chain.filters) {
+      if (audit_.Get(m).keys.count(k) == 0) {
+        return Fail(cert, ob,
+                    "filter join input op " + std::to_string(m) +
+                        ": '" + ColName(k) +
+                        "' is not a derivable key, so the join may "
+                        "multiply count rows");
+      }
+    }
+    // Walk the replacement down to its ThetaCount: renaming projections
+    // and exactly the original keyed filters, on the group column.
+    ColId g = from.part;
+    ColId n = from.col;
+    std::vector<std::pair<OpId, ColId>> unused = chain.filters;
+    OpId cur = cert->to;
+    while (dag_->op(cur).kind != OpKind::kThetaCount) {
+      const Op& c = dag_->op(cur);
+      if (c.kind == OpKind::kProject) {
+        ColId g_src = kNoCol;
+        ColId n_src = kNoCol;
+        for (const auto& [nw, old] : c.proj) {
+          if (nw == g) g_src = old;
+          if (nw == n) n_src = old;
+        }
+        if (g_src == kNoCol || n_src != n) {
+          return Fail(cert, ob,
+                      "projection op " + std::to_string(cur) +
+                          " does not carry the group and count columns");
+        }
+        g = g_src;
+        cur = c.children[0];
+        continue;
+      }
+      if (c.kind != OpKind::kEquiJoin) {
+        return Fail(cert, ob,
+                    "op " + std::to_string(cur) + " (" +
+                        OpKindName(c.kind) +
+                        ") above the counting join is neither a "
+                        "projection nor a filter join");
+      }
+      bool count_left = c.col == g;
+      std::pair<OpId, ColId> f =
+          count_left ? std::make_pair(c.children[1], c.col2)
+                     : std::make_pair(c.children[0], c.col);
+      auto it = std::find(unused.begin(), unused.end(), f);
+      if ((!count_left && c.col2 != g) || it == unused.end()) {
+        return Fail(cert, ob,
+                    "filter join op " + std::to_string(cur) +
+                        " is not one of the original keyed filters on "
+                        "the group column");
+      }
+      unused.erase(it);
+      cur = count_left ? c.children[0] : c.children[1];
+    }
+    if (!unused.empty()) {
+      return Fail(cert, ob,
+                  "filter join on op " +
+                      std::to_string(unused.front().first) +
+                      " is not re-applied to the count table");
+    }
+    const Op& tc = dag_->op(cur);
+    const Op& tj = dag_->op(chain.theta);
+    if (tc.children != tj.children || tc.fun != tj.fun ||
+        tc.keys != std::vector<ColId>{tj.col, tj.col2} ||
+        tc.part != chain.g_in || tc.col2 != chain.h_in || tc.col != n ||
+        g != chain.g_in) {
+      return Fail(cert, ob,
+                  "counting join op " + std::to_string(cur) +
+                      " does not count the ThetaJoin op " +
+                      std::to_string(chain.theta) +
+                      "'s partners per group");
     }
     return true;
   }

@@ -46,6 +46,14 @@
 //                                            from iteration/order
 //                                            scaffolding; the hash/theta
 //                                            kind gates re-check
+//   count_join           pair-count          the before plan counts the
+//                                            distinct (g, h) pairs of a
+//                                            ThetaJoin with g and h from
+//                                            opposite inputs; every
+//                                            filter join on g is keyed
+//                                            on its other input and is
+//                                            re-applied; the ThetaCount
+//                                            counts that join's pairs
 //
 // Modes (EXRQUY_CERTIFY, options beat environment):
 //   off    — emit bare trade records, never check;

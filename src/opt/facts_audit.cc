@@ -1,6 +1,7 @@
 #include "opt/facts_audit.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace exrquy {
 namespace {
@@ -181,6 +182,12 @@ void DeriveKinds(const Dag& dag, OpId id,
           break;
       }
       put(op.col, k);
+      break;
+    }
+    case OpKind::kThetaCount: {
+      size_t g = dag.op(op.children[0]).HasCol(op.part) ? 0 : 1;
+      put(op.part, KindAt(child(g), op.part));
+      out->kinds[op.col] = ItemKind::kInt;
       break;
     }
     case OpKind::kStep:
@@ -437,6 +444,7 @@ void DeriveSorted(const Dag& dag, OpId id,
     case OpKind::kElem:
     case OpKind::kAttr:
     case OpKind::kTextNode:
+    case OpKind::kThetaCount:  // group order is left opaque
       break;
   }
 }
@@ -504,6 +512,11 @@ ColSet DeriveOpScaffolding(const Dag& dag, OpId id,
         out.insert(op.part);
       }
       break;
+    case OpKind::kThetaCount:
+      if (from(0).count(op.part) != 0 || from(1).count(op.part) != 0) {
+        out.insert(op.part);
+      }
+      break;
     case OpKind::kStep:
     case OpKind::kRange:
       // Output items are document nodes / range values; iter descends
@@ -517,6 +530,45 @@ ColSet DeriveOpScaffolding(const Dag& dag, OpId id,
       break;
   }
   return out;
+}
+
+// The column `c` reaches `id` from: renaming projections are looked
+// through, anything else is the source.
+std::pair<OpId, ColId> SourceOf(const Dag& dag, OpId id, ColId c) {
+  const Op& op = dag.op(id);
+  if (op.kind != OpKind::kProject) return {id, c};
+  for (const auto& [n, o] : op.proj) {
+    if (n == c) return SourceOf(dag, op.children[0], o);
+  }
+  return {id, c};
+}
+
+// `comp` is the loop-lifting complement of `base` on c:
+//   comp = (Difference on [c] (L, π c:c′ (X))) × 1-row literal
+// (either product order), with the projection's c taken from the very
+// column `base`'s c comes from. Its c values are then L's minus
+// `base`'s, so the two never share one.
+bool IsComplementOf(const Dag& dag, OpId comp, OpId base, ColId c) {
+  const Op& x = dag.op(comp);
+  if (x.kind != OpKind::kCross) return false;
+  for (OpId side : x.children) {
+    OpId other = x.children[0] == side ? x.children[1] : x.children[0];
+    const Op& d = dag.op(side);
+    const Op& lit = dag.op(other);
+    if (d.kind != OpKind::kDifference || d.keys != std::vector<ColId>{c} ||
+        lit.kind != OpKind::kLit || lit.lit.rows.size() != 1) {
+      continue;
+    }
+    const Op& p = dag.op(d.children[1]);
+    if (p.kind != OpKind::kProject || p.proj.size() != 1 ||
+        p.proj[0].first != c) {
+      continue;
+    }
+    if (SourceOf(dag, d.children[1], c) == SourceOf(dag, base, c)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -698,10 +750,18 @@ OpFacts DeriveOpFacts(const Dag& dag, OpId id,
       } else if (r.no_rows) {
         inherit(l, /*keep_keys=*/true);
       } else {
-        // Constancy and keys need cross-branch value reasoning (out of
-        // scope); order-meaninglessness survives when both agree.
+        // Constancy needs cross-branch value reasoning (out of scope);
+        // order-meaninglessness survives when both agree. A key survives
+        // only a complement union, whose branches hold disjoint values.
         for (ColId c : l.arbitrary) {
           if (r.arbitrary.count(c) != 0) out.arbitrary.insert(c);
+        }
+        for (ColId c : op.schema) {
+          if (l.keys.count(c) != 0 && r.keys.count(c) != 0 &&
+              (IsComplementOf(dag, op.children[1], op.children[0], c) ||
+               IsComplementOf(dag, op.children[0], op.children[1], c))) {
+            out.keys.insert(c);
+          }
         }
       }
       break;
@@ -755,6 +815,16 @@ OpFacts DeriveOpFacts(const Dag& dag, OpId id,
         if (f.arbitrary.count(op.part) != 0) out.arbitrary.insert(op.part);
         out.keys.insert(op.part);  // one output row per group
       }
+      break;
+    }
+    case OpKind::kThetaCount: {
+      // One row per group of the group side that has a partner.
+      const OpFacts& f = child(dag.op(op.children[0]).HasCol(op.part) ? 0 : 1);
+      out.min_rows = 0;
+      out.max_rows = f.max_rows;
+      if (f.constant.count(op.part) != 0) out.constant.insert(op.part);
+      if (f.arbitrary.count(op.part) != 0) out.arbitrary.insert(op.part);
+      out.keys.insert(op.part);
       break;
     }
     case OpKind::kStep: {
@@ -941,6 +1011,14 @@ std::unordered_map<OpId, ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
         need(0, op.part);
         for (ColId k : op.keys) need(0, k);
         break;
+      case OpKind::kThetaCount:
+        // Group and partner columns sit on opposite inputs.
+        for (size_t c = 0; c < 2; ++c) {
+          const Op& in = dag.op(op.children[c]);
+          need(c, op.keys[c]);
+          need(c, in.HasCol(op.part) ? op.part : op.col2);
+        }
+        break;
       case OpKind::kStep:
         need(0, col::iter());
         need(0, col::item());
@@ -1025,6 +1103,7 @@ bool FactsAudit::MayRaise(OpId id) {
         r = r || Get(op.children[0]).max_rows > 0;
         break;
       case OpKind::kThetaJoin:
+      case OpKind::kThetaCount:
         // The comparison raises on incomparable pairs — only when pairs
         // can exist at all.
         r = r || (Get(op.children[0]).max_rows > 0 &&

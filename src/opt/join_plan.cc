@@ -10,36 +10,6 @@
 namespace exrquy {
 namespace {
 
-// a cmp b  ==  b MirrorCmp(cmp) a.
-FunKind MirrorCmp(FunKind cmp) {
-  switch (cmp) {
-    case FunKind::kLt:
-      return FunKind::kGt;
-    case FunKind::kLe:
-      return FunKind::kGe;
-    case FunKind::kGt:
-      return FunKind::kLt;
-    case FunKind::kGe:
-      return FunKind::kLe;
-    default:
-      return cmp;  // kEq / kNe are symmetric
-  }
-}
-
-bool IsCmp(FunKind f) {
-  switch (f) {
-    case FunKind::kEq:
-    case FunKind::kNe:
-    case FunKind::kLt:
-    case FunKind::kLe:
-    case FunKind::kGt:
-    case FunKind::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // The old column that Project `p` exposes as `n`, or kNoCol.
 ColId ProjOld(const Op& p, ColId n) {
   for (const auto& [nn, oo] : p.proj) {
@@ -633,7 +603,7 @@ class Recognizer {
     const Op& selc = op(pi.children[0]);
     if (selc.kind != OpKind::kSelect) return false;
     const Op& fo = op(selc.children[0]);
-    if (fo.kind != OpKind::kFun || fo.col != selc.col || !IsCmp(fo.fun) ||
+    if (fo.kind != OpKind::kFun || fo.col != selc.col || !IsRelation(fo.fun) ||
         fo.args.size() != 2) {
       return false;
     }
@@ -1253,7 +1223,7 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, const PassView& view,
       ColId rk = cur_left ? o_key : c_key;
       // p.cmp is stated as a_col cmp b_col; mirror if a sits right.
       bool a_left = cur_left == p.a_in_cur;
-      vj = dag->ThetaJoin(l, r, lk, a_left ? p.cmp : MirrorCmp(p.cmp), rk);
+      vj = dag->ThetaJoin(l, r, lk, a_left ? p.cmp : MirrorRelation(p.cmp), rk);
       how = "theta join";
     } else {
       return kNoOp;

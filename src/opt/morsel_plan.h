@@ -8,8 +8,9 @@
 // performs an ordered morsel merge (concatenation in morsel order) so
 // the fused result is byte-identical to operator-at-a-time evaluation at
 // every thread count and morsel size. Blocking operators — %, Distinct,
-// Aggr, node constructors, the build side of a join — are pipeline
-// breakers: they stay operator-at-a-time and bound every pipeline.
+// Aggr, the counting ThetaCount, node constructors, the build side of a
+// join — are pipeline breakers: they stay operator-at-a-time and bound
+// every pipeline.
 //
 // Which operators may fuse, and where in a chain:
 //

@@ -93,7 +93,7 @@ Result<OpId> Optimize(Dag* dag, OpId root, const OptimizeOptions& options) {
     bool changed = false;
     OpId before = current;
     current = RewriteOnce(dag, current, options.rewrites, &changed,
-                          options.trade_log);
+                          options.trade_log, options.certify_ms);
     if (options.verify_each_pass) {
       Status diag = VerifyPlan(*dag, current);
       if (!diag.ok()) {

@@ -30,6 +30,10 @@ struct OptimizeOptions {
   // with the rule that fired and its justification (rewrites.h), for
   // Session::ExplainOrder / --explain-order.
   std::vector<RewriteTrade>* trade_log = nullptr;
+
+  // When non-null, accumulates the wall time spent checking rewrite
+  // certificates, in milliseconds.
+  double* certify_ms = nullptr;
 };
 
 // Returns the new plan root (ops are appended to the same DAG; use

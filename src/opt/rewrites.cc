@@ -1,6 +1,7 @@
 #include "opt/rewrites.h"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -16,10 +17,11 @@ namespace {
 class Rewriter {
  public:
   Rewriter(Dag* dag, const RewriteOptions& options,
-           std::vector<RewriteTrade>* trades)
+           std::vector<RewriteTrade>* trades, double* certify_ms)
       : dag_(dag),
         options_(options),
         trades_(trades),
+        certify_ms_(certify_ms),
         certify_(ResolveCertify(options.certify)),
         props_(dag),
         cards_(dag),
@@ -81,7 +83,15 @@ class Rewriter {
   // rejects an unprovable certificate (the caller keeps the old
   // sub-plan).
   OpId Attempt(RewriteCertificate cert) {
-    if (checker_ != nullptr) checker_->Check(&cert);
+    if (checker_ != nullptr) {
+      auto start = std::chrono::steady_clock::now();
+      checker_->Check(&cert);
+      if (certify_ms_ != nullptr) {
+        *certify_ms_ += std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      }
+    }
     bool rejected = certify_.mode == CertifyMode::kStrict &&
                     cert.checked && !cert.valid;
     OpId to = rejected ? kNoOp : cert.to;
@@ -222,6 +232,116 @@ class Rewriter {
     return Attempt(std::move(cert));
   }
 
+  // The counting-join rewrite (count_join): a count of the distinct
+  // theta-join partners of each group,
+  //   Aggr count|g ( π g ( Distinct ( π g,h ( ThetaJoin θ (L, R) ) ) ) )
+  // with g and h drawn from opposite join inputs, becomes
+  // ThetaCount θ (L, R) → (g, n): the pairs are never formed. Between the
+  // Aggr and the Distinct the chain may rename g and filter it by key
+  // joins ⋈ g=k (·, M) whose k is a key of M (Q12's outer where); each
+  // matches a count row at most once, so the filters are re-applied to
+  // the count table. `count` is the Aggr rebuilt over this pass's
+  // rewritten inputs. Returns kNoOp when the chain does not match (or
+  // strict certification rejects the instance).
+  OpId TryCountJoin(OpId id, OpId count) {
+    const Op aggr = dag_->op(count);  // a copy: the attempts grow the dag
+    const ColId n = aggr.col;
+    struct Step {
+      ColId g;          // group column name above this step
+      ColId below;      // ... and below it
+      OpId filter;      // M of a key join (kNoOp for a rename)
+      ColId key;        // k
+      bool count_left;  // the count side is the join's left input
+    };
+    std::vector<Step> steps;
+    ColId g = aggr.part;
+    OpId cur = aggr.children[0];
+    for (;;) {
+      const Op& c = dag_->op(cur);
+      if (c.kind == OpKind::kProject && c.proj.size() == 1 &&
+          c.proj[0].first == g) {
+        steps.push_back({g, c.proj[0].second, kNoOp, kNoCol, false});
+        g = c.proj[0].second;
+        cur = c.children[0];
+        continue;
+      }
+      if (c.kind == OpKind::kEquiJoin && !c.value_join) {
+        bool matched = false;
+        for (size_t s = 0; s < 2 && !matched; ++s) {
+          OpId x = c.children[s];
+          OpId m = c.children[1 - s];
+          ColId xk = s == 0 ? c.col : c.col2;
+          ColId mk = s == 0 ? c.col2 : c.col;
+          if (xk == g && dag_->op(x).schema == std::vector<ColId>{g} &&
+              keys_.Get(m).count(mk) != 0 && !dag_->op(m).HasCol(n)) {
+            steps.push_back({g, g, m, mk, s == 0});
+            cur = x;
+            matched = true;
+          }
+        }
+        if (matched) continue;
+      }
+      break;
+    }
+    const Op& distinct = dag_->op(cur);
+    if (distinct.kind != OpKind::kDistinct) return kNoOp;
+    const Op& pair = dag_->op(distinct.children[0]);
+    if (pair.kind != OpKind::kProject || pair.proj.size() != 2) {
+      return kNoOp;
+    }
+    const Op& tj = dag_->op(pair.children[0]);
+    if (tj.kind != OpKind::kThetaJoin) return kNoOp;
+    size_t gi = pair.proj[0].first == g ? 0 : 1;
+    if (pair.proj[gi].first != g) return kNoOp;
+    const ColId g_in = pair.proj[gi].second;
+    const ColId h_in = pair.proj[1 - gi].second;
+    const Op& left = dag_->op(tj.children[0]);
+    const Op& right = dag_->op(tj.children[1]);
+    if (left.HasCol(g_in) == left.HasCol(h_in) ||
+        right.HasCol(g_in) == right.HasCol(h_in)) {
+      return kNoOp;  // g and h must come from opposite join inputs
+    }
+    // The count column must stay clear of every group name on the way.
+    if (g_in == n || g == n) return kNoOp;
+    for (const Step& st : steps) {
+      if (st.g == n || st.below == n) return kNoOp;
+    }
+    const OpId pair_join = pair.children[0];
+    OpId t = dag_->ThetaCount(tj.children[0], tj.children[1], tj.col, tj.fun,
+                              tj.col2, g_in, h_in, n);
+    dag_->SetProv(t, dag_->op(id).prov);  // booked to the count's label
+    t = ProjectSimplified(t, {{g, g_in}, {n, n}});
+    std::vector<CitedFact> keyed;
+    for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
+      if (it->filter == kNoOp) {
+        t = ProjectSimplified(t, {{it->g, it->below}, {n, n}});
+        continue;
+      }
+      t = it->count_left ? dag_->EquiJoin(t, it->filter, it->g, it->key)
+                         : dag_->EquiJoin(it->filter, t, it->key, it->g);
+      t = ProjectSimplified(t, {{it->g, it->g}, {n, n}});
+      keyed.push_back(CiteKey(it->filter, it->key));
+    }
+    RewriteCertificate cert =
+        Cert(id, t, "count_join",
+             "count(" + ColName(h_in) + ")|" + ColName(g_in) +
+                 " over the distinct pairs of the theta join is one "
+                 "counting join; " +
+                 std::to_string(keyed.size()) +
+                 " keyed filter(s) re-applied to the count table");
+    // The checker re-matches the chain from the count over this pass's
+    // inputs, as every family trusts the pass's rewritten children.
+    cert.cited.push_back(
+        CiteStructural(count, "count over the pass's rewritten inputs"));
+    cert.cited.push_back(
+        CiteStructural(pair_join, "theta join whose pairs are counted"));
+    for (CitedFact& f : keyed) cert.cited.push_back(std::move(f));
+    // The count table lists groups in the counting join's order, not in
+    // the pair stream's first-appearance order.
+    cert.rows_reordered = true;
+    return Attempt(std::move(cert));
+  }
+
   OpId RewriteOp(OpId id) {
     const Op& op = dag_->op(id);
     const ColSet& required = Required(id);
@@ -296,6 +416,10 @@ class Rewriter {
       case OpKind::kThetaJoin:
         return dag_->ThetaJoin(Child(op, 0), Child(op, 1), op.col, op.fun,
                                op.col2);
+
+      case OpKind::kThetaCount:
+        return dag_->ThetaCount(Child(op, 0), Child(op, 1), op.keys[0],
+                                op.fun, op.keys[1], op.part, op.col2, op.col);
 
       case OpKind::kCross: {
         OpId l = Child(op, 0);
@@ -629,15 +753,24 @@ class Rewriter {
         return dag_->Fun(c, op.fun, op.col, op.args);
       }
 
-      case OpKind::kAggr:
-        if (op.aggr == AggrKind::kStrJoin) {
-          // Preserves the separator (op.name).
-          return dag_->AggrStrJoin(Child(op, 0), op.col, op.col2, op.part,
-                                   op.keys.empty() ? kNoCol : op.keys[0],
-                                   op.name);
+      case OpKind::kAggr: {
+        // Preserves the separator (op.name) of a string join.
+        OpId rebuilt =
+            op.aggr == AggrKind::kStrJoin
+                ? dag_->AggrStrJoin(Child(op, 0), op.col, op.col2, op.part,
+                                    op.keys.empty() ? kNoCol : op.keys[0],
+                                    op.name)
+                : dag_->Aggr(Child(op, 0), op.aggr, op.col, op.col2, op.part,
+                             op.keys.empty() ? kNoCol : op.keys[0]);
+        // Only where theta_join already produced the ThetaJoin it counts.
+        const Op& a = dag_->op(rebuilt);
+        if (options_.theta_join && a.aggr == AggrKind::kCount &&
+            a.part != kNoCol) {
+          OpId repl = TryCountJoin(id, rebuilt);
+          if (repl != kNoOp) return repl;
         }
-        return dag_->Aggr(Child(op, 0), op.aggr, op.col, op.col2, op.part,
-                          op.keys.empty() ? kNoCol : op.keys[0]);
+        return rebuilt;
+      }
 
       case OpKind::kStep: {
         OpId c = Child(op, 0);
@@ -694,6 +827,7 @@ class Rewriter {
   Dag* dag_;
   const RewriteOptions& options_;
   std::vector<RewriteTrade>* trades_;
+  double* certify_ms_;
   CertifySettings certify_;
   std::unique_ptr<CertifyChecker> checker_;
   PropertyTracker props_;
@@ -710,8 +844,9 @@ class Rewriter {
 }  // namespace
 
 OpId RewriteOnce(Dag* dag, OpId root, const RewriteOptions& options,
-                 bool* changed, std::vector<RewriteTrade>* trades) {
-  Rewriter rewriter(dag, options, trades);
+                 bool* changed, std::vector<RewriteTrade>* trades,
+                 double* certify_ms) {
+  Rewriter rewriter(dag, options, trades, certify_ms);
   return rewriter.Run(root, changed);
 }
 

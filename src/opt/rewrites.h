@@ -79,9 +79,12 @@ using RewriteTrade = RewriteCertificate;
 // One rewrite pass over the sub-DAG rooted at `root`; returns the new
 // root and sets *changed if the plan shrank or any operator changed.
 // When `trades` is non-null, every rewrite instance the pass performed
-// is appended with the reason it is sound (its certificate).
+// is appended with the reason it is sound (its certificate). When
+// `certify_ms` is non-null, the time spent checking certificates is
+// added to it.
 OpId RewriteOnce(Dag* dag, OpId root, const RewriteOptions& options,
-                 bool* changed, std::vector<RewriteTrade>* trades = nullptr);
+                 bool* changed, std::vector<RewriteTrade>* trades = nullptr,
+                 double* certify_ms = nullptr);
 
 }  // namespace exrquy
 

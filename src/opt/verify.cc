@@ -42,6 +42,7 @@ size_t ExpectedChildren(OpKind kind) {
       return 1;
     case OpKind::kEquiJoin:
     case OpKind::kThetaJoin:
+    case OpKind::kThetaCount:
     case OpKind::kCross:
     case OpKind::kUnion:
     case OpKind::kDifference:
@@ -230,6 +231,16 @@ class SchemaChecker {
     return Status::Ok();
   }
 
+  // Theta joins compare with a value comparison (kEq..kGe).
+  Status Relation(const Op& op) {
+    if (!IsRelation(op.fun)) {
+      return Fail(dag_, id_, "theta-comparison",
+                  std::string("'") + FunKindName(op.fun) +
+                      "' is not a value comparison");
+    }
+    return Status::Ok();
+  }
+
   Status Derive(const Op& op, std::vector<ColId>* out) {
     switch (op.kind) {
       case OpKind::kLit: {
@@ -258,13 +269,7 @@ class SchemaChecker {
         *out = Child(op, 0).schema;
         return Status::Ok();
       case OpKind::kThetaJoin:
-        if (op.fun != FunKind::kEq && op.fun != FunKind::kNe &&
-            op.fun != FunKind::kLt && op.fun != FunKind::kLe &&
-            op.fun != FunKind::kGt && op.fun != FunKind::kGe) {
-          return Fail(dag_, id_, "theta-comparison",
-                      std::string("'") + FunKindName(op.fun) +
-                          "' is not a value comparison");
-        }
+        EXRQUY_RETURN_IF_ERROR(Relation(op));
         [[fallthrough]];
       case OpKind::kEquiJoin:
         EXRQUY_RETURN_IF_ERROR(Ref(op, 0, op.col, "left join"));
@@ -383,6 +388,30 @@ class SchemaChecker {
         EXRQUY_RETURN_IF_ERROR(Ref(op, 0, op.col2, "range upper"));
         *out = {col::iter(), col::item()};
         return Status::Ok();
+      case OpKind::kThetaCount: {
+        EXRQUY_RETURN_IF_ERROR(Relation(op));
+        if (op.keys.size() != 2) {
+          return Fail(dag_, id_, "theta-count-shape",
+                      "expects join keys {left, right}, found " +
+                          std::to_string(op.keys.size()) + " column(s)");
+        }
+        EXRQUY_RETURN_IF_ERROR(Ref(op, 0, op.keys[0], "left join"));
+        EXRQUY_RETURN_IF_ERROR(Ref(op, 1, op.keys[1], "right join"));
+        // The group and the counted partner come from opposite inputs.
+        size_t g = Child(op, 0).HasCol(op.part) ? 0 : 1;
+        EXRQUY_RETURN_IF_ERROR(Ref(op, g, op.part, "group"));
+        if (op.col2 == kNoCol || !Child(op, 1 - g).HasCol(op.col2)) {
+          return Fail(dag_, id_, "theta-count-shape",
+                      "partner column '" +
+                          (op.col2 == kNoCol ? std::string("<none>")
+                                             : ColName(op.col2)) +
+                          "' is not produced by the input opposite the "
+                          "group column's");
+        }
+        EXRQUY_RETURN_IF_ERROR(Produced(op.col, "count"));
+        *out = {op.part, op.col};
+        return Status::Ok();
+      }
       case OpKind::kCardCheck:
         if (op.min_card < 0 || op.max_card < op.min_card) {
           return Fail(dag_, id_, "card-bounds",
@@ -561,28 +590,32 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options) {
       EXRQUY_RETURN_IF_ERROR(
           CheckOrderClaims(dag, id, od.Get(id), facts.at(id)));
     }
-    // Join-graph isolation: a recognized value join (ThetaJoin, or an
-    // EquiJoin carrying the value-join mark) must keep the iteration/
-    // order scaffolding out of its predicate — its key columns must
-    // carry item values. Hash-equality joins must additionally sit in a
-    // kind class where exact value equality coincides with the `eq`
-    // comparison (int/int, string-class/string-class, bool/bool);
-    // anything wider would need the pairwise-Compare ThetaJoin kernel.
+    // Join-graph isolation: a recognized value join (ThetaJoin or
+    // ThetaCount, or an EquiJoin carrying the value-join mark) must keep
+    // the iteration/order scaffolding out of its predicate — its key
+    // columns must carry item values. Hash-equality joins must
+    // additionally sit in a kind class where exact value equality
+    // coincides with the `eq` comparison (int/int, string-class/
+    // string-class, bool/bool); anything wider would need the
+    // pairwise-Compare ThetaJoin kernel.
     std::unordered_map<OpId, ColSet> scaff = DeriveScaffolding(dag, order);
     for (OpId id : order) {
       const Op& op = dag.op(id);
+      bool counting = op.kind == OpKind::kThetaCount;
       bool theta = op.kind == OpKind::kThetaJoin;
       bool value_equi = op.kind == OpKind::kEquiJoin && op.value_join;
-      if (!theta && !value_equi) continue;
-      if (scaff.at(op.children[0]).count(op.col) != 0) {
+      if (!counting && !theta && !value_equi) continue;
+      ColId lkey = counting ? op.keys[0] : op.col;
+      ColId rkey = counting ? op.keys[1] : op.col2;
+      if (scaff.at(op.children[0]).count(lkey) != 0) {
         return Fail(dag, id, "join-isolation-claim",
                     "join predicate touches scaffolding column '" +
-                        ColName(op.col) + "'");
+                        ColName(lkey) + "'");
       }
-      if (scaff.at(op.children[1]).count(op.col2) != 0) {
+      if (scaff.at(op.children[1]).count(rkey) != 0) {
         return Fail(dag, id, "join-isolation-claim",
                     "join predicate touches scaffolding column '" +
-                        ColName(op.col2) + "'");
+                        ColName(rkey) + "'");
       }
       if (value_equi) {
         ItemKind lk = KindAt(facts.at(op.children[0]), op.col);

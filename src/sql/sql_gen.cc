@@ -28,6 +28,16 @@ std::string SqlStr(const std::string& s) {
   return out;
 }
 
+// The SQL operator of a join comparison (kEq..kGe).
+const char* SqlRelation(FunKind f) {
+  return f == FunKind::kEq   ? "="
+         : f == FunKind::kNe ? "<>"
+         : f == FunKind::kLt ? "<"
+         : f == FunKind::kLe ? "<="
+         : f == FunKind::kGt ? ">"
+                             : ">=";
+}
+
 class Generator {
  public:
   Generator(const Dag& dag, const StrPool& strings,
@@ -281,17 +291,22 @@ class Generator {
             << SqlCol(op.col2);
         return out.str();
 
-      case OpKind::kThetaJoin: {
-        const char* cmp = op.fun == FunKind::kEq   ? "="
-                          : op.fun == FunKind::kNe ? "<>"
-                          : op.fun == FunKind::kLt ? "<"
-                          : op.fun == FunKind::kLe ? "<="
-                          : op.fun == FunKind::kGt ? ">"
-                                                   : ">=";
+      case OpKind::kThetaJoin:
         out << "SELECT " << Cols(op.children[0], "a") << ", "
             << Cols(op.children[1], "b") << " FROM " << child(0) << " a, "
-            << child(1) << " b WHERE a." << SqlCol(op.col) << " " << cmp
-            << " b." << SqlCol(op.col2);
+            << child(1) << " b WHERE a." << SqlCol(op.col) << " "
+            << SqlRelation(op.fun) << " b." << SqlCol(op.col2);
+        return out.str();
+
+      case OpKind::kThetaCount: {
+        const char* g = dag_.op(op.children[0]).HasCol(op.part) ? "a" : "b";
+        const char* h = *g == 'a' ? "b" : "a";
+        out << "SELECT " << g << "." << SqlCol(op.part) << ", COUNT(DISTINCT "
+            << h << "." << SqlCol(op.col2) << ") AS " << SqlCol(op.col)
+            << " FROM " << child(0) << " a, " << child(1) << " b WHERE a."
+            << SqlCol(op.keys[0]) << " " << SqlRelation(op.fun) << " b."
+            << SqlCol(op.keys[1]) << " GROUP BY " << g << "."
+            << SqlCol(op.part);
         return out.str();
       }
 

@@ -459,6 +459,133 @@ TEST_F(CertifyCheckerTest, JoinRecognitionRejectsRegionReachingProductSpace) {
                                    "retired product-space numbering")}));
 }
 
+// -- pair-count ----------------------------------------------------------
+
+// Q12's shape in miniature: count(h)|g over the distinct pairs of a
+// theta join, filtered by a join on g against M.
+class CountJoinCertifyTest : public CertifyCheckerTest {
+ protected:
+  CountJoinCertifyTest() {
+    LitTable l;
+    l.cols = {iter(), item()};
+    l.rows = {{Value::Int(1), Value::Int(5)}, {Value::Int(1), Value::Int(9)},
+              {Value::Int(2), Value::Int(3)}};
+    left_ = dag_.Lit(std::move(l));
+    LitTable r;
+    r.cols = {riter_, ritem_};
+    r.rows = {{Value::Int(7), Value::Int(4)}, {Value::Int(8), Value::Int(6)},
+              {Value::Int(7), Value::Int(8)}};
+    right_ = dag_.Lit(std::move(r));
+    theta_ = dag_.ThetaJoin(left_, right_, item(), FunKind::kGt, ritem_);
+  }
+
+  // A one-column filter input whose `mk` values are {1, 2}, or {1, 1, 2}
+  // (not a key) when `keyed` is false.
+  OpId Filter(bool keyed) {
+    LitTable m;
+    m.cols = {mk_};
+    m.rows = {{Value::Int(1)}, {Value::Int(2)}};
+    if (!keyed) m.rows.push_back({Value::Int(1)});
+    return dag_.Lit(std::move(m));
+  }
+
+  // Aggr count|iter (π iter (⋈ iter=mk (π iter (Distinct (π iter,h
+  // (theta_))), m))), counting partner column `h` of the join.
+  OpId Chain(ColId h, OpId m) {
+    OpId pairs = dag_.Distinct(dag_.Project(theta_, {{iter(), iter()},
+                                                     {h, h}}));
+    OpId g = dag_.Project(pairs, {{iter(), iter()}});
+    OpId filtered = dag_.Project(dag_.EquiJoin(g, m, iter(), mk_),
+                                 {{iter(), iter()}});
+    return dag_.Aggr(filtered, AggrKind::kCount, n_, kNoCol, iter());
+  }
+
+  OpId Counting() {
+    return dag_.ThetaCount(left_, right_, item(), FunKind::kGt, ritem_,
+                           iter(), riter_, n_);
+  }
+
+  // The filter re-applied to the count table.
+  OpId Refiltered(OpId m) {
+    return dag_.Project(dag_.EquiJoin(Counting(), m, iter(), mk_),
+                        {{iter(), iter()}, {n_, n_}});
+  }
+
+  RewriteCertificate CountCert(OpId from, OpId to, OpId m) {
+    return Cert(from, to, "count_join",
+                {CiteStructural(from, "count over the pass's inputs"),
+                 CiteStructural(theta_, "theta join whose pairs are counted"),
+                 CiteKey(m, mk_)});
+  }
+
+  const ColId riter_ = ColSym("cj_riter");
+  const ColId ritem_ = ColSym("cj_ritem");
+  const ColId mk_ = ColSym("cj_mk");
+  const ColId n_ = ColSym("cj_n");
+  OpId left_ = kNoOp;
+  OpId right_ = kNoOp;
+  OpId theta_ = kNoOp;
+};
+
+TEST_F(CountJoinCertifyTest, AcceptsKeyedFilterReapplied) {
+  OpId m = Filter(/*keyed=*/true);
+  OpId from = Chain(riter_, m);
+  ExpectValid(from, CountCert(from, Refiltered(m), m));
+}
+
+TEST_F(CountJoinCertifyTest, RejectsGroupAndPartnerOnOneSide) {
+  // h = item comes from the left input, like g = iter: the pairs are
+  // (iteration, own key), not (iteration, partner).
+  OpId m = Filter(/*keyed=*/true);
+  OpId from = Chain(item(), m);
+  ExpectRejected(from, CountCert(from, Refiltered(m), m), "pair-count");
+  CertifyChecker checker(&dag_, from);
+  RewriteCertificate cert = CountCert(from, Refiltered(m), m);
+  EXPECT_FALSE(checker.Check(&cert));
+  EXPECT_NE(cert.diagnostic.find("same join input"), std::string::npos)
+      << cert.diagnostic;
+}
+
+TEST_F(CountJoinCertifyTest, RejectsNonKeyedFilterJoin) {
+  // mk repeats: the filter join would multiply count rows.
+  OpId m = Filter(/*keyed=*/false);
+  OpId from = Chain(riter_, m);
+  ExpectRejected(from, CountCert(from, Refiltered(m), m), "pair-count");
+  // Not citing the key does not help: the template re-derives it.
+  RewriteCertificate uncited =
+      Cert(from, Refiltered(m), "count_join",
+           {CiteStructural(from, "count over the pass's inputs")});
+  CertifyChecker checker(&dag_, from);
+  EXPECT_FALSE(checker.Check(&uncited));
+  EXPECT_EQ(uncited.obligation, "pair-count");
+  EXPECT_NE(uncited.diagnostic.find("not a derivable key"),
+            std::string::npos)
+      << uncited.diagnostic;
+}
+
+TEST_F(CountJoinCertifyTest, RejectsDroppedFilter) {
+  OpId m = Filter(/*keyed=*/true);
+  OpId from = Chain(riter_, m);
+  RewriteCertificate cert = CountCert(from, Counting(), m);
+  ExpectRejected(from, cert, "pair-count");
+  CertifyChecker checker(&dag_, from);
+  EXPECT_FALSE(checker.Check(&cert));
+  EXPECT_NE(cert.diagnostic.find("not re-applied"), std::string::npos)
+      << cert.diagnostic;
+}
+
+TEST_F(CountJoinCertifyTest, RejectsCountOfAnotherJoin) {
+  // The ThetaCount counts the opposite relation.
+  OpId m = Filter(/*keyed=*/true);
+  OpId from = Chain(riter_, m);
+  OpId wrong = dag_.Project(
+      dag_.EquiJoin(dag_.ThetaCount(left_, right_, item(), FunKind::kLt,
+                                    ritem_, iter(), riter_, n_),
+                    m, iter(), mk_),
+      {{iter(), iter()}, {n_, n_}});
+  ExpectRejected(from, CountCert(from, wrong, m), "pair-count");
+}
+
 // -- forced rejection & strict fail-close --------------------------------
 
 TEST_F(CertifyCheckerTest, ForceRejectRuleFailsThatFamilyOnly) {

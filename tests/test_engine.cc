@@ -4,8 +4,9 @@
 // cases), joins, set operations, and node constructors. The ThetaJoin
 // typed-key kernel is checked pair for pair (and first error for first
 // error) against a per-pair ValueOps::Compare reference in every
-// execution shape, and the hash kernels against their documented
-// first-appearance and ascending-row orders.
+// execution shape, the counting ThetaCount against the ThetaJoin →
+// Distinct → Aggr count chain it replaces, and the hash kernels against
+// their documented first-appearance and ascending-row orders.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -669,6 +670,174 @@ TEST_F(ThetaJoinTest, ErrorsMatchTheFirstFailingPair) {
                          /*typed=*/true);
   ExpectMatchesReference({S("a"), S("b")}, {S("a"), Value::Double(1)},
                          /*typed=*/true);
+}
+
+// -- ThetaCount: the counting join against the chain it replaces ----------
+
+class ThetaCountTest : public ThetaJoinTest {
+ protected:
+  // One join input: (iteration id, key) rows; an id may repeat (several
+  // keys per iteration).
+  using Side = std::vector<std::pair<int64_t, Value>>;
+  // (group id, count) rows, sorted: the counting join lists groups in its
+  // own order, which the rewrite declares as a row-order trade.
+  using Counts = std::vector<std::pair<int64_t, int64_t>>;
+
+  // Evaluates the plan of `build` at `threads`; returns its sorted
+  // (group, count) rows or its error, and the fallback pairs the
+  // ThetaCount records reported.
+  Result<Counts> Run(Dag* dag, OpId root, ColId g, ColId n, int threads,
+                     uint64_t* fallback) {
+    Profile profile;
+    EvalContext ctx;
+    ctx.store = &store_;
+    ctx.strings = &strings_;
+    ctx.profile = &profile;
+    ctx.num_threads = threads;
+    Evaluator ev(*dag, &ctx);
+    Result<TablePtr> t = ev.Eval(root);
+    if (!t.ok()) return t.status();
+    *fallback = 0;
+    for (const Profile::OpMetrics& m : profile.ops()) {
+      if (m.kind == "ThetaCount") *fallback += m.theta_fallback_pairs;
+    }
+    Counts out;
+    for (size_t k = 0; k < (*t)->rows(); ++k) {
+      out.emplace_back((*t)->at(g, k).i, (*t)->at(n, k).i);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  // Every relation, with the group on either side, at 1 and 4 threads:
+  // ThetaCount equals Aggr count|g (π g (Distinct (π g,h (ThetaJoin)))),
+  // or fails with the same first error. `typed` says whether the keys
+  // have one comparison domain (no per-pair fallback).
+  void ExpectMatchesChain(const Side& l, const Side& r, bool typed) {
+    const ColId riter = ColSym("tc_riter");
+    const ColId ritem = ColSym("tc_ritem");
+    const ColId n = ColSym("tc_n");
+    for (FunKind f : kRelations) {
+      for (bool group_left : {true, false}) {
+        Dag dag;
+        auto lit = [&](const Side& side, ColId id, ColId key) {
+          LitTable t;
+          t.cols = {id, key};
+          for (const auto& [i, k] : side) t.rows.push_back({Value::Int(i), k});
+          return dag.Lit(std::move(t));
+        };
+        OpId left = lit(l, iter(), item());
+        OpId right = lit(r, riter, ritem);
+        ColId g = group_left ? iter() : riter;
+        ColId h = group_left ? riter : iter();
+        OpId pairs = dag.Distinct(dag.Project(
+            dag.ThetaJoin(left, right, item(), f, ritem), {{g, g}, {h, h}}));
+        OpId chain = dag.Aggr(dag.Project(pairs, {{g, g}}), AggrKind::kCount,
+                              n, kNoCol, g);
+        OpId counting = dag.ThetaCount(left, right, item(), f, ritem, g, h, n);
+        for (int threads : {1, 4}) {
+          std::string where = std::string(FunKindName(f)) +
+                              (group_left ? " group-left" : " group-right") +
+                              " threads=" + std::to_string(threads);
+          uint64_t unused = 0;
+          uint64_t fallback = 0;
+          Result<Counts> want = Run(&dag, chain, g, n, threads, &unused);
+          Result<Counts> got = Run(&dag, counting, g, n, threads, &fallback);
+          ASSERT_EQ(got.ok(), want.ok())
+              << where << ": " << got.status().ToString() << " vs "
+              << want.status().ToString();
+          if (!want.ok()) {
+            EXPECT_EQ(got.status().ToString(), want.status().ToString())
+                << where;
+            continue;
+          }
+          EXPECT_EQ(*got, *want) << where;
+          if (typed) {
+            EXPECT_EQ(fallback, 0u) << where;
+          } else if (!l.empty() && !r.empty()) {
+            EXPECT_GT(fallback, 0u) << where;
+          }
+        }
+      }
+    }
+  }
+
+  Value I(int64_t i) { return Value::Int(i); }
+  Value D(double d) { return Value::Double(d); }
+};
+
+TEST_F(ThetaCountTest, IntKeysWithSeveralKeysPerIteration) {
+  ExpectMatchesChain({{1, I(5)}, {2, I(3)}, {1, I(9)}, {3, I(7)}, {2, I(1)},
+                      {4, I(-2)}, {3, I(7)}},
+                     {{10, I(4)}, {11, I(8)}, {10, I(6)}, {12, I(7)},
+                      {13, I(0)}, {12, I(3)}, {11, I(8)}},
+                     /*typed=*/true);
+}
+
+TEST_F(ThetaCountTest, IntKeysBeyondTwoToThe53) {
+  // Exact on int64: 2^53 and 2^53 + 1 are one double.
+  const int64_t p53 = int64_t{1} << 53;
+  ExpectMatchesChain({{1, I(p53 + 1)}, {2, I(p53)}, {2, I(INT64_MIN)}},
+                     {{7, I(p53)}, {8, I(p53 + 1)}, {8, I(INT64_MAX)}},
+                     /*typed=*/true);
+  // Mixed with doubles there is no single domain: per-pair fallback.
+  ExpectMatchesChain({{1, I(p53 + 1)}, {2, D(1.5)}},
+                     {{7, I(p53)}, {8, D(9e15)}}, /*typed=*/false);
+}
+
+TEST_F(ThetaCountTest, DoubleInfinityAndNanKeys) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // NaN satisfies no order relation: an all-NaN iteration drops out, a
+  // NaN beside other keys is ignored.
+  ExpectMatchesChain({{1, D(nan)}, {2, D(inf)}, {2, D(nan)}, {3, D(-inf)},
+                      {4, D(0.5)}, {4, I(2)}, {5, D(-0.0)}},
+                     {{7, D(nan)}, {8, D(inf)}, {9, D(-inf)}, {9, D(nan)},
+                      {10, I(1)}, {11, D(0.0)}, {10, D(0.5)}},
+                     /*typed=*/true);
+  ExpectMatchesChain(
+      {{1, U("NaN")}, {2, U("INF")}, {3, U("-INF")}, {3, U("4")}},
+      {{7, D(inf)}, {8, I(0)}, {8, D(nan)}}, /*typed=*/true);
+}
+
+TEST_F(ThetaCountTest, StringUntypedAndBoolKeys) {
+  ExpectMatchesChain({{1, U("b")}, {1, U("a")}, {2, U("10")}, {3, U("9")},
+                      {4, U("")}},
+                     {{7, U("a")}, {8, U("10")}, {7, U("c")}, {9, U("")}},
+                     /*typed=*/true);
+  ExpectMatchesChain({{1, S("pear")}, {2, S("apple")}, {2, U("fig")}},
+                     {{7, S("fig")}, {8, U("banana")}, {8, S("zebra")}},
+                     /*typed=*/true);
+  ExpectMatchesChain({{1, Value::Bool(true)}, {2, Value::Bool(false)},
+                      {2, Value::Bool(true)}},
+                     {{7, Value::Bool(false)}, {8, Value::Bool(true)}},
+                     /*typed=*/true);
+  // Untyped against untyped and numbers at once: per-pair fallback.
+  ExpectMatchesChain({{1, U("10")}, {2, I(2)}, {1, U("9")}},
+                     {{7, U("9")}, {8, U("3")}}, /*typed=*/false);
+}
+
+TEST_F(ThetaCountTest, EmptySides) {
+  ExpectMatchesChain({}, {{7, I(1)}, {8, U("x")}}, /*typed=*/true);
+  ExpectMatchesChain({{1, I(1)}, {2, S("x")}}, {}, /*typed=*/true);
+  ExpectMatchesChain({}, {}, /*typed=*/true);
+}
+
+TEST_F(ThetaCountTest, ErrorsMatchTheChainsFirstError) {
+  // An uncastable untyped value, after good pairs, on either side.
+  ExpectMatchesChain({{1, U("5")}, {2, U("7")}, {1, U("abc")}, {3, U("9")}},
+                     {{7, I(1)}, {8, I(6)}}, /*typed=*/false);
+  ExpectMatchesChain({{1, I(1)}, {2, I(2)}},
+                     {{7, I(1)}, {8, U("zz")}, {7, I(3)}}, /*typed=*/false);
+  // An unatomized node, and a string against a number — with the
+  // failing rows interleaved across iterations, so the first error in
+  // left-major order is not the first one of the first group.
+  ExpectMatchesChain({{1, I(1)}, {2, I(2)}, {1, I(3)}},
+                     {{7, I(0)}, {8, Value::Node(0)}}, /*typed=*/false);
+  ExpectMatchesChain({{1, I(4)}, {2, S("a")}, {1, S("b")}}, {{7, I(1)}},
+                     /*typed=*/false);
+  ExpectMatchesChain({{1, S("a")}, {2, S("b")}, {1, I(1)}},
+                     {{7, S("a")}, {8, D(1)}}, /*typed=*/false);
 }
 
 // -- Hash kernels: first-appearance and ascending-row orders ---------------

@@ -145,13 +145,17 @@ std::string BoolExpr(Rng* rng, int depth, const std::string& var) {
 }
 
 // Two for loops joined by the inner loop's where clause, comparing a
-// path of each variable, with a return clause drawn from the shapes the
-// join recognizer re-roots: the inner variable, a path of it, a nested
-// multi-path element, an element that also reads the outer variable,
-// and a count.
+// key of each variable under any value relation, with a return clause
+// drawn from the shapes the join recognizer re-roots: the inner
+// variable, a path of it, a nested multi-path element, an element that
+// also reads the outer variable, and a count — of the inner loop
+// directly or, as in XMark Q11/Q12, of a let-bound join whose pairs only
+// count() consumes. Keys are single- or multi-valued paths, or turn
+// into NaN (a zero divided by 0e0, or 0e0 div 0e0 itself) and infinities.
 std::string JoinQuery(Rng* rng) {
-  const char* cmps[] = {"=", "<", ">"};
-  const char* paths[] = {"n", "@k", "m/@v"};
+  const char* cmps[] = {"=", "<", ">", "<=", ">=", "!="};
+  const char* keys[] = {"$V/n", "$V/@k", "$V/m/@v", "($V/n div 0e0)",
+                        "($V/@k * (0e0 div 0e0))"};
   const char* rets[] = {
       "$b",
       "$b/n",
@@ -159,18 +163,25 @@ std::string JoinQuery(Rng* rng) {
       "<e a=\"{ $a/@k }\">{ $b/m }</e>",
       "count($b/n)",
   };
-  std::string pred = std::string("$b/") + paths[rng->Below(3)] + " " +
-                     cmps[rng->Below(3)] + " $a/" + paths[rng->Below(3)];
-  std::string inner = std::string(R"(for $b in doc("f.xml")//g where )") +
-                      pred + " return " + rets[rng->Below(5)];
+  auto key = [&](char var) {
+    std::string k = keys[rng->Below(5)];
+    k.replace(k.find('V'), 1, 1, var);
+    return k;
+  };
+  std::string pred = key('b') + " " + cmps[rng->Below(6)] + " " + key('a');
+  std::string loop = std::string(R"(for $b in doc("f.xml")//g where )") +
+                     pred + " return ";
+  std::string inner = loop + rets[rng->Below(5)];
   std::string outer = R"(for $a in doc("f.xml")/top/g )";
-  switch (rng->Below(3)) {
+  switch (rng->Below(4)) {
     case 0:
       return outer + inner;
     case 1:
       return outer + "return <o>{ " + inner + " }</o>";
-    default:
+    case 2:
       return outer + "return count(" + inner + ")";
+    default:
+      return outer + "let $l := " + loop + "$b return <o>{ count($l) }</o>";
   }
 }
 
@@ -238,7 +249,8 @@ TEST_P(FuzzEquivalenceTest, ConfigurationsAgree) {
     if (!a.ok()) continue;  // all failed identically: fine
     ++executed;
     joined += b->plan_optimized.value_join_ops +
-              b->plan_optimized.theta_join_ops;
+              b->plan_optimized.theta_join_ops +
+              b->plan_optimized.theta_count_ops;
     EXPECT_EQ(a->items, b->items) << query;
     EXPECT_EQ(a->items, d->items) << query;
     std::vector<std::string> sa = a->items;

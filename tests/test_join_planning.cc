@@ -15,11 +15,12 @@
 //   * off-vs-on equivalence across the entire XMark corpus in both
 //     ordering modes at 1 and 4 threads — byte-identical ordered
 //     results, equal multisets unordered;
-//   * governor faults injected through ThetaJoin plans, a guard that
-//     the XMark theta joins run entirely on typed keys (no per-pair
-//     Compare fallback), a row-count guard keeping Q10 off its product
-//     space, and a CI wall-clock guard pinning Q9 under a deadline the
-//     retired product-space plan could not meet.
+//   * governor faults injected through counting-join plans, a guard
+//     that the XMark theta joins run entirely on typed keys (no per-pair
+//     Compare fallback), row-count guards keeping Q10 off its product
+//     space and Q11/Q12 off their theta pairs, and a CI wall-clock guard
+//     pinning Q9 under a deadline the retired product-space plan could
+//     not meet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,6 +94,7 @@ class JoinRecognitionTest : public ::testing::Test {
       if (!a.ok() || !b.ok()) return out;
       EXPECT_EQ(b->plan_optimized.value_join_ops, 0u);
       EXPECT_EQ(b->plan_optimized.theta_join_ops, 0u);
+      EXPECT_EQ(b->plan_optimized.theta_count_ops, 0u);
       if (mode == OrderingMode::kOrdered) {
         EXPECT_EQ(a->serialized, b->serialized);
         EXPECT_EQ(a->items, b->items);
@@ -160,13 +162,16 @@ TEST_F(JoinRecognitionTest, EqualityPredicateBecomesValueJoin) {
 }
 
 TEST_F(JoinRecognitionTest, OrderPredicateBecomesThetaJoin) {
+  // The joined items themselves are returned: the pairs are needed.
   const std::string q =
       R"(for $a in doc("d.xml")/root/as/a
-         return count(for $b in doc("d.xml")/root/bs/b
-                      where $b/@k < $a/@k return $b))";
+         return <r>{for $b in doc("d.xml")/root/bs/b
+                    where $b/@k < $a/@k return $b}</r>)";
   QueryResult r = CheckEquivalent(q);
   EXPECT_GE(r.plan_optimized.theta_join_ops, 1u);
-  EXPECT_EQ(r.items, (std::vector<std::string>{"0", "0", "1"}));
+  EXPECT_EQ(r.plan_optimized.theta_count_ops, 0u);
+  EXPECT_EQ(r.items, (std::vector<std::string>{"<r/>", "<r/>",
+                                               "<r><b k=\"2\"/></r>"}));
 
   // theta_join=false refuses the non-equality predicate while leaving
   // the result untouched.
@@ -176,6 +181,27 @@ TEST_F(JoinRecognitionTest, OrderPredicateBecomesThetaJoin) {
   ASSERT_TRUE(nt.ok()) << nt.status().ToString();
   EXPECT_EQ(nt->plan_optimized.theta_join_ops, 0u);
   EXPECT_EQ(nt->plan_optimized.value_join_ops, 0u);
+  EXPECT_EQ(nt->items, r.items);
+}
+
+TEST_F(JoinRecognitionTest, OrderPredicateUnderCountBecomesThetaCount) {
+  // Only count() consumes the joined sequence: the counting join answers
+  // it without forming a pair.
+  const std::string q =
+      R"(for $a in doc("d.xml")/root/as/a
+         return count(for $b in doc("d.xml")/root/bs/b
+                      where $b/@k < $a/@k return $b))";
+  QueryResult r = CheckEquivalent(q);
+  EXPECT_GE(r.plan_optimized.theta_count_ops, 1u);
+  EXPECT_EQ(r.plan_optimized.theta_join_ops, 0u);
+  EXPECT_EQ(r.items, (std::vector<std::string>{"0", "0", "1"}));
+
+  // theta_join=false leaves no ThetaJoin to count.
+  QueryOptions no_theta;
+  no_theta.theta_join = false;
+  Result<QueryResult> nt = Run(q, no_theta);
+  ASSERT_TRUE(nt.ok()) << nt.status().ToString();
+  EXPECT_EQ(nt->plan_optimized.theta_count_ops, 0u);
   EXPECT_EQ(nt->items, r.items);
 }
 
@@ -502,9 +528,9 @@ TEST_F(JoinCorpusTest, Q10InnerLoopIsJoined) {
 }
 
 // ---------------------------------------------------------------------
-// Governor faults through ThetaJoin plans.
+// Governor faults through counting-join plans.
 
-TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaJoin) {
+TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaCount) {
   struct Fault {
     const char* name;
     FaultPlan plan;
@@ -529,12 +555,12 @@ TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaJoin) {
 
   for (const char* name : {"Q11", "Q12"}) {
     const std::string& text = XMarkQueryText(name);
-    // Never-faulted reference; its plan must actually run a ThetaJoin so
-    // the fault counters tick through the new kernels.
+    // Never-faulted reference; its plan must actually run the counting
+    // theta join so the fault counters tick through its kernel.
     Result<QueryResult> reference = session_->Execute(text, Threads(1));
     ASSERT_TRUE(reference.ok())
         << name << ": " << reference.status().ToString();
-    ASSERT_GE(reference->plan_optimized.theta_join_ops, 1u) << name;
+    ASSERT_GE(reference->plan_optimized.theta_count_ops, 1u) << name;
 
     for (const Fault& fault : faults) {
       std::string context = std::string(name) + " " + fault.name;
@@ -566,11 +592,12 @@ TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaJoin) {
 }
 
 // ---------------------------------------------------------------------
-// Typed-key ThetaJoin guard: the XMark theta joins compare untyped
-// @income against numbers, which the kernel casts once per row. A plan
-// or kernel change that hands it keys without one comparison domain
-// would silently bring back the per-pair Compare path; the profile's
-// fallback count catches that deterministically.
+// Typed-key guard: the XMark theta joins (counting joins, since only
+// count() consumes them) compare untyped @income against numbers, which
+// the kernel casts once per row. A plan or kernel change that hands it
+// keys without one comparison domain would silently bring back the
+// per-pair Compare path; the profile's fallback count catches that
+// deterministically.
 
 TEST(ThetaKernelGuard, XMarkThetaJoinsNeverFallBack) {
   Session session;
@@ -586,14 +613,15 @@ TEST(ThetaKernelGuard, XMarkThetaJoinsNeverFallBack) {
       o.profile = true;
       Result<QueryResult> r = session.Execute(XMarkQueryText(name), o);
       ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
-      size_t thetas = 0;
+      size_t counts = 0;
       for (const Profile::OpMetrics& m : r->profile.ops()) {
-        if (m.kind != "ThetaJoin") continue;
-        ++thetas;
+        if (m.kind != "ThetaCount") continue;
+        ++counts;
+        EXPECT_GT(m.in_rows, 0u) << name;
         EXPECT_GT(m.out_rows, 0u) << name;
         EXPECT_EQ(m.theta_fallback_pairs, 0u) << name << " op " << m.op;
       }
-      EXPECT_GE(thetas, 1u) << name;
+      EXPECT_GE(counts, 1u) << name;
       EXPECT_NE(r->profile.ToJson().find("\"theta_fallback_pairs\": 0"),
                 std::string::npos)
           << name;
@@ -626,6 +654,39 @@ TEST(JoinScalingGuard, Q10NeverMaterializesProductSpace) {
     for (const Profile::OpMetrics& m : r->profile.ops()) {
       EXPECT_LE(m.in_rows, kMaxInputRows)
           << "op " << m.op << " (" << m.kind << ", " << m.prov << ")";
+    }
+  }
+}
+
+// Q11/Q12 count the (person, auction) pairs of a band predicate: at
+// scale 0.1 the retired ThetaJoin → Distinct → Aggr chain materialized
+// ~360,000 pairs (Q12's outer-where Join read 360,648 rows). The
+// counting join reads only the two sides and the count table.
+
+TEST(JoinScalingGuard, Q11Q12NeverMaterializePairs) {
+  Session session;
+  XMarkOptions options;
+  options.scale = 0.1;
+  ASSERT_TRUE(
+      session.LoadDocument("auction.xml", GenerateXMark(options)).ok());
+  constexpr size_t kMaxInputRows = 50000;
+  for (const char* name : {"Q11", "Q12"}) {
+    for (OrderingMode mode :
+         {OrderingMode::kOrdered, OrderingMode::kUnordered}) {
+      QueryOptions o;
+      o.default_ordering = mode;
+      o.profile = true;
+      Result<QueryResult> r = session.Execute(XMarkQueryText(name), o);
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+      EXPECT_GE(r->plan_optimized.theta_count_ops, 1u) << name;
+      size_t counted = 0;
+      for (const Profile::OpMetrics& m : r->profile.ops()) {
+        counted += m.kind == "ThetaCount" ? 1 : 0;
+        EXPECT_LE(m.in_rows, kMaxInputRows)
+            << name << " op " << m.op << " (" << m.kind << ", " << m.prov
+            << ")";
+      }
+      EXPECT_GE(counted, 1u) << name;
     }
   }
 }

@@ -302,5 +302,35 @@ TEST_F(ParallelEngineTest, ProfileRecordsSchedulerFacts) {
   EXPECT_NE(json.find("\"peak_live_bytes\""), std::string::npos);
 }
 
+// Observability: a constructor's exclusive node-store hold waits out
+// every running reader (and a reader waits out a running constructor).
+// That wait is the record's blocked_ms, never part of its kernel ms.
+TEST_F(ParallelEngineTest, StoreHoldWaitIsBlockedNotKernelTime) {
+  QueryOptions par = Parallel();
+  par.profile = true;
+  Result<QueryResult> r = session_->Execute(XMarkQueryText("Q11"), par);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  size_t constructors = 0;
+  for (const Profile::OpMetrics& m : r->profile.ops()) {
+    EXPECT_GE(m.blocked_ms, 0.0) << "op " << m.op << " (" << m.kind << ")";
+    EXPECT_GE(m.ms, 0.0) << "op " << m.op;
+    if (m.kind == "Elem" || m.kind == "Attr" || m.kind == "TextNode") {
+      ++constructors;
+    }
+  }
+  EXPECT_GT(constructors, 0u);
+  for (const Profile::PipelineMetrics& p : r->profile.pipelines()) {
+    EXPECT_GE(p.blocked_ms, 0.0) << "pipeline " << p.id;
+  }
+  // Every operator and pipeline record of the JSON dump carries it.
+  std::string json = r->profile.ToJson();
+  size_t fields = 0;
+  for (size_t at = json.find("\"blocked_ms\": "); at != std::string::npos;
+       at = json.find("\"blocked_ms\": ", at + 1)) {
+    ++fields;
+  }
+  EXPECT_EQ(fields, r->profile.ops().size() + r->profile.pipelines().size());
+}
+
 }  // namespace
 }  // namespace exrquy

