@@ -463,11 +463,12 @@ void GroupExtremes(const RowGroups& groups, const K* keys, bool want_max,
 // the groups' extremes do: min(x) f max(y) for lt/le, max(x) f min(y)
 // for gt/ge. So each side reduces to one extreme per group, the
 // partner side's extremes are sorted once, and each group's count is one
-// binary search: O((|L| + |R|) log |R|), no pair is ever formed.
-template <typename K>
-std::vector<int64_t> BandCounts(FunKind f, const K* lk, const K* rk,
-                                const RowGroups& lg, const RowGroups& rg,
-                                bool group_left) {
+// binary search: O((|L| + |R|) log |R|), no pair is ever formed. Writes
+// each group's count to (*counts)[g]; polls the governor on group volume.
+template <typename K, typename Poll>
+Status BandCounts(FunKind f, const K* lk, const K* rk, const RowGroups& lg,
+                  const RowGroups& rg, bool group_left, const Poll& poll,
+                  std::vector<int64_t>* counts) {
   const bool left_smaller = f == FunKind::kLt || f == FunKind::kLe;
   std::vector<K> lext;
   std::vector<K> rext;
@@ -487,27 +488,27 @@ std::vector<int64_t> BandCounts(FunKind f, const K* lk, const K* rk,
   std::sort(sorted.begin(), sorted.end());
   // Count the partner extremes y with `y rel x`.
   const FunKind rel = group_left ? MirrorRelation(f) : f;
-  std::vector<int64_t> counts(gext.size(), 0);
   for (size_t g = 0; g < gext.size(); ++g) {
+    if ((g & 0xFFFF) == 0xFFFF) EXRQUY_RETURN_IF_ERROR(poll());
     if (!ghas[g]) continue;
     auto lo = std::lower_bound(sorted.begin(), sorted.end(), gext[g]);
     auto hi = std::upper_bound(lo, sorted.end(), gext[g]);
     switch (rel) {
       case FunKind::kLt:
-        counts[g] = lo - sorted.begin();
+        (*counts)[g] = lo - sorted.begin();
         break;
       case FunKind::kLe:
-        counts[g] = hi - sorted.begin();
+        (*counts)[g] = hi - sorted.begin();
         break;
       case FunKind::kGt:
-        counts[g] = sorted.end() - hi;
+        (*counts)[g] = sorted.end() - hi;
         break;
       default:  // kGe
-        counts[g] = sorted.end() - lo;
+        (*counts)[g] = sorted.end() - lo;
         break;
     }
   }
-  return counts;
+  return Status::Ok();
 }
 
 }  // namespace
@@ -2048,21 +2049,21 @@ Result<TablePtr> Evaluator::EvalEquiJoin(const Op& op, const Table& l,
   return GatherPairs(l, l_rows, r, r_rows, /*parallel=*/true);
 }
 
-Result<TablePtr> Evaluator::EvalThetaJoin(const Op& op, const Table& l,
-                                          const Table& r) {
+Status Evaluator::ThetaPairs(const Op& op, const Column& lk,
+                             const ThetaBuild& build,
+                             std::vector<uint32_t>* l_rows,
+                             std::vector<uint32_t>* r_rows) {
   // The probe side is always the left input, chunked by left rows; each
   // chunk runs the one range body (ThetaRange), and chunks concatenate
   // in order — left-major with matches in right-row order, byte-identical
   // to a serial nested loop at any thread count. Errors latch per chunk
   // and resolve in chunk order (the first error a serial scan would hit).
-  const Column& lk = l.col(op.col);
-  ThetaBuild build(r, op.col2, ops_);
-  size_t chunks = NumChunks(l.rows());
+  size_t chunks = NumChunks(lk.size());
   std::vector<std::vector<uint32_t>> l_parts(chunks);
   std::vector<std::vector<uint32_t>> r_parts(chunks);
   std::vector<uint64_t> fallback(chunks, 0);
   std::vector<Status> errs(chunks);
-  ForChunks(l.rows(), [&](size_t c, size_t begin, size_t end) {
+  ForChunks(lk.size(), [&](size_t c, size_t begin, size_t end) {
     errs[c] = ThetaRange(op, lk, begin, end, build, &l_parts[c], &r_parts[c],
                          &fallback[c]);
   });
@@ -2070,8 +2071,19 @@ Result<TablePtr> Evaluator::EvalThetaJoin(const Op& op, const Table& l,
     if (!st.ok()) return st;
   }
   for (uint64_t f : fallback) NoteThetaFallback(f);
-  return GatherPairs(l, ConcatChunks(l_parts), r, ConcatChunks(r_parts),
-                     /*parallel=*/true);
+  *l_rows = ConcatChunks(l_parts);
+  *r_rows = ConcatChunks(r_parts);
+  return Status::Ok();
+}
+
+Result<TablePtr> Evaluator::EvalThetaJoin(const Op& op, const Table& l,
+                                          const Table& r) {
+  ThetaBuild build(r, op.col2, ops_);
+  std::vector<uint32_t> l_rows;
+  std::vector<uint32_t> r_rows;
+  EXRQUY_RETURN_IF_ERROR(ThetaPairs(op, l.col(op.col), build, &l_rows,
+                                    &r_rows));
+  return GatherPairs(l, l_rows, r, r_rows, /*parallel=*/true);
 }
 
 Result<TablePtr> Evaluator::EvalThetaCount(const Op& op, const Table& l,
@@ -2098,74 +2110,44 @@ Result<TablePtr> Evaluator::EvalThetaCount(const Op& op, const Table& l,
     std::vector<double> ld;
     const int64_t* ri = nullptr;
     const double* rd = nullptr;
-    const ThetaBuild::Domain domain =
-        build.Probe(lk, 0, l.rows(), &li, &ri, &ld, &rd);
     const bool band = op.fun == FunKind::kLt || op.fun == FunKind::kLe ||
                       op.fun == FunKind::kGt || op.fun == FunKind::kGe;
-    std::vector<int64_t> counts;
+    const ThetaBuild::Domain domain =
+        band ? build.Probe(lk, 0, l.rows(), &li, &ri, &ld, &rd)
+             : ThetaBuild::kNone;
+    auto poll = [this] { return PollGovernor(); };
+    std::vector<int64_t> counts((group_left ? lg : rg).size(), 0);
     if (band && domain == ThetaBuild::kInt) {
-      counts = BandCounts(op.fun, li.data(), ri, lg, rg, group_left);
+      EXRQUY_RETURN_IF_ERROR(
+          BandCounts(op.fun, li.data(), ri, lg, rg, group_left, poll, &counts));
     } else if (band && domain == ThetaBuild::kDouble) {
-      counts = BandCounts(op.fun, ld.data(), rd, lg, rg, group_left);
+      EXRQUY_RETURN_IF_ERROR(
+          BandCounts(op.fun, ld.data(), rd, lg, rg, group_left, poll, &counts));
     } else {
-      // eq/ne, or keys without one domain: every pair, visited by left
-      // group and within it by ascending row, so a per-right-group stamp
-      // of the current left group counts each (L-group, R-group) once.
-      // Of the failing pairs, the one a left-major scan meets first
-      // wins: a row after the failing row found so far is skipped, and
-      // a row stops at its first failing pair.
-      counts.assign((group_left ? lg : rg).size(), 0);
-      std::vector<uint32_t> rgroup(r.rows());
+      // eq/ne, or keys without one domain: the ThetaJoin's own pairs
+      // (same first error, same fallback accounting), each distinct
+      // (g-group, h-group) pair counted once.
+      std::vector<uint32_t> l_rows;
+      std::vector<uint32_t> r_rows;
+      EXRQUY_RETURN_IF_ERROR(ThetaPairs(op, lk, build, &l_rows, &r_rows));
+      std::vector<uint32_t> lgid(l.rows());
+      std::vector<uint32_t> rgid(r.rows());
+      for (size_t x = 0; x < lg.size(); ++x) {
+        for (uint32_t i : lg.rows(x)) lgid[i] = static_cast<uint32_t>(x);
+      }
       for (size_t y = 0; y < rg.size(); ++y) {
-        for (uint32_t j : rg.rows(y)) rgroup[j] = static_cast<uint32_t>(y);
+        for (uint32_t j : rg.rows(y)) rgid[j] = static_cast<uint32_t>(y);
       }
-      std::vector<uint32_t> stamp(rg.size(), UINT32_MAX);
-      Status err;
-      size_t err_row = SIZE_MAX;
-      size_t since_poll = 0;
-      auto scan = [&](const auto& decide) -> Status {
-        for (size_t x = 0; x < lg.size(); ++x) {
-          for (uint32_t i : lg.rows(x)) {
-            if (i > err_row) continue;
-            if (since_poll >= 0x10000) {
-              since_poll = 0;
-              EXRQUY_RETURN_IF_ERROR(PollGovernor());
-            }
-            since_poll += r.rows();
-            for (size_t j = 0; j < r.rows(); ++j) {
-              int d = decide(i, j);
-              if (d < 0) {
-                err_row = i;
-                break;
-              }
-              uint32_t y = rgroup[j];
-              if (d == 0 || stamp[y] == x) continue;
-              stamp[y] = static_cast<uint32_t>(x);
-              ++counts[group_left ? x : y];
-            }
-          }
-        }
-        return err;
-      };
-      if (domain == ThetaBuild::kInt) {
-        EXRQUY_RETURN_IF_ERROR(scan([&](size_t i, size_t j) {
-          return static_cast<int>(Holds(op.fun, Cmp3(li[i], ri[j])));
-        }));
-      } else if (domain == ThetaBuild::kDouble) {
-        EXRQUY_RETURN_IF_ERROR(scan([&](size_t i, size_t j) {
-          return static_cast<int>(Holds(op.fun, Cmp3(ld[i], rd[j])));
-        }));
-      } else {
-        NoteThetaFallback(static_cast<uint64_t>(l.rows()) * r.rows());
-        EXRQUY_RETURN_IF_ERROR(scan([&](size_t i, size_t j) {
-          Result<Value> v = ops_.Compare(op.fun, lk[i], r.col(op.keys[1])[j]);
-          if (!v.ok()) {
-            err = v.status();
-            return -1;
-          }
-          return static_cast<int>(v->b);
-        }));
+      std::vector<uint64_t> group_pairs(l_rows.size());
+      for (size_t k = 0; k < l_rows.size(); ++k) {
+        uint64_t x = lgid[l_rows[k]];
+        uint64_t y = rgid[r_rows[k]];
+        group_pairs[k] = group_left ? x << 32 | y : y << 32 | x;
       }
+      std::sort(group_pairs.begin(), group_pairs.end());
+      group_pairs.erase(std::unique(group_pairs.begin(), group_pairs.end()),
+                        group_pairs.end());
+      for (uint64_t gp : group_pairs) ++counts[gp >> 32];
     }
     const RowGroups& gg = group_left ? lg : rg;
     const Column& gcol = (group_left ? l : r).col(op.part);

@@ -230,6 +230,13 @@ class Evaluator {
   Status ThetaRange(const Op& op, const Column& lk, size_t b, size_t e,
                     const ThetaBuild& build, std::vector<uint32_t>* l_rows,
                     std::vector<uint32_t>* r_rows, uint64_t* fallback_pairs);
+  // Every matching (left, right) row pair of a theta join with left keys
+  // `lk`: ThetaRange over chunks of the left rows, concatenated in order,
+  // with the first error a serial left-major scan would hit and the
+  // fallback pairs noted on the operator's profile record.
+  Status ThetaPairs(const Op& op, const Column& lk, const ThetaBuild& build,
+                    std::vector<uint32_t>* l_rows,
+                    std::vector<uint32_t>* r_rows);
   // Chunked stable sort: sorts each chunk, then stably merges chunk pairs
   // — byte-identical to std::stable_sort over the whole range.
   void ParallelStableSort(

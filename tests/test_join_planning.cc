@@ -15,12 +15,12 @@
 //   * off-vs-on equivalence across the entire XMark corpus in both
 //     ordering modes at 1 and 4 threads — byte-identical ordered
 //     results, equal multisets unordered;
-//   * governor faults injected through counting-join plans, a guard
-//     that the XMark theta joins run entirely on typed keys (no per-pair
-//     Compare fallback), row-count guards keeping Q10 off its product
-//     space and Q11/Q12 off their theta pairs, and a CI wall-clock guard
-//     pinning Q9 under a deadline the retired product-space plan could
-//     not meet.
+//   * governor faults injected through theta-join and counting-join
+//     plans, a guard that the XMark theta joins run entirely on typed
+//     keys (no per-pair Compare fallback), row-count guards keeping Q10
+//     off its product space and Q11/Q12 off their theta pairs, and a CI
+//     wall-clock guard pinning Q9 under a deadline the retired
+//     product-space plan could not meet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -528,9 +528,32 @@ TEST_F(JoinCorpusTest, Q10InnerLoopIsJoined) {
 }
 
 // ---------------------------------------------------------------------
-// Governor faults through counting-join plans.
+// Governor faults through theta-join and counting-join plans.
 
-TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaCount) {
+// XMark Q11/Q12 with the joined items returned instead of counted: the
+// pairs themselves are consumed, so the band predicate stays a ThetaJoin.
+const char kQ11Items[] =
+    R"(let $auction := doc("auction.xml")
+for $p in $auction/site/people/person
+let $l := for $i in $auction/site/open_auctions/open_auction/initial
+          where $p/profile/@income > 5000 * $i
+          return $i
+return <items name="{ $p/name }">{ $l }</items>)";
+const char kQ12Items[] =
+    R"(for $p in doc("auction.xml")/site/people/person
+let $l := for $i in doc("auction.xml")/site/open_auctions/open_auction/initial
+          where $p/profile/@income > 5000 * exactly-one($i/text())
+          return $i
+where $p/profile/@income > 50000
+return <items person="{ $p/profile/@income }">{ $l }</items>)";
+
+// Cancel-at-dispatch, deadline-at-chunk and failed-allocation faults,
+// at 1 and 4 threads: each surfaces as its own code (or the query
+// finishes first) with the same outcome at both thread counts, and the
+// Session re-runs the query, unfaulted, to a byte-identical result.
+void ExpectFaultsSurfaceCleanly(Session* session, const std::string& name,
+                                const std::string& text,
+                                const QueryResult& reference) {
   struct Fault {
     const char* name;
     FaultPlan plan;
@@ -552,52 +575,65 @@ TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaCount) {
     p.fail_alloc = 5;
     faults.push_back({"alloc@5", p, StatusCode::kResourceExhausted});
   }
-
-  for (const char* name : {"Q11", "Q12"}) {
-    const std::string& text = XMarkQueryText(name);
-    // Never-faulted reference; its plan must actually run the counting
-    // theta join so the fault counters tick through its kernel.
-    Result<QueryResult> reference = session_->Execute(text, Threads(1));
-    ASSERT_TRUE(reference.ok())
-        << name << ": " << reference.status().ToString();
-    ASSERT_GE(reference->plan_optimized.theta_count_ops, 1u) << name;
-
-    for (const Fault& fault : faults) {
-      std::string context = std::string(name) + " " + fault.name;
-      StatusCode outcome_at_one = StatusCode::kOk;
-      for (int threads : {1, 4}) {
-        QueryOptions o = Threads(threads);
-        o.faults = fault.plan;
-        Result<QueryResult> r = session_->Execute(text, o);
-        StatusCode outcome = r.ok() ? StatusCode::kOk : r.status().code();
-        if (!r.ok()) {
-          EXPECT_EQ(outcome, fault.expected)
-              << context << " threads=" << threads << ": "
-              << r.status().ToString();
-        }
-        if (threads == 1) {
-          outcome_at_one = outcome;
-        } else {
-          EXPECT_EQ(outcome, outcome_at_one) << context;
-        }
-        // After any abort the Session re-runs the same query, unfaulted,
-        // to a byte-identical result.
-        Result<QueryResult> again = session_->Execute(text, Threads(threads));
-        ASSERT_TRUE(again.ok())
-            << context << ": " << again.status().ToString();
-        EXPECT_EQ(again->serialized, reference->serialized) << context;
+  for (const Fault& fault : faults) {
+    std::string context = name + " " + fault.name;
+    StatusCode outcome_at_one = StatusCode::kOk;
+    for (int threads : {1, 4}) {
+      QueryOptions o = Threads(threads);
+      o.faults = fault.plan;
+      Result<QueryResult> r = session->Execute(text, o);
+      StatusCode outcome = r.ok() ? StatusCode::kOk : r.status().code();
+      if (!r.ok()) {
+        EXPECT_EQ(outcome, fault.expected)
+            << context << " threads=" << threads << ": "
+            << r.status().ToString();
       }
+      if (threads == 1) {
+        outcome_at_one = outcome;
+      } else {
+        EXPECT_EQ(outcome, outcome_at_one) << context;
+      }
+      Result<QueryResult> again = session->Execute(text, Threads(threads));
+      ASSERT_TRUE(again.ok()) << context << ": " << again.status().ToString();
+      EXPECT_EQ(again->serialized, reference.serialized) << context;
     }
   }
 }
 
+TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaJoin) {
+  for (const auto& [name, text] :
+       {std::pair<std::string, std::string>{"Q11 items", kQ11Items},
+        {"Q12 items", kQ12Items}}) {
+    // Never-faulted reference; its plan must actually run a ThetaJoin so
+    // the fault counters tick through its kernel.
+    Result<QueryResult> reference = session_->Execute(text, Threads(1));
+    ASSERT_TRUE(reference.ok())
+        << name << ": " << reference.status().ToString();
+    ASSERT_GE(reference->plan_optimized.theta_join_ops, 1u) << name;
+    ASSERT_EQ(reference->plan_optimized.theta_count_ops, 0u) << name;
+    ExpectFaultsSurfaceCleanly(session_, name, text, *reference);
+  }
+}
+
+TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaCount) {
+  for (const char* name : {"Q11", "Q12"}) {
+    const std::string& text = XMarkQueryText(name);
+    // The same, through the counting theta join XMark's count($l) plans.
+    Result<QueryResult> reference = session_->Execute(text, Threads(1));
+    ASSERT_TRUE(reference.ok())
+        << name << ": " << reference.status().ToString();
+    ASSERT_GE(reference->plan_optimized.theta_count_ops, 1u) << name;
+    ExpectFaultsSurfaceCleanly(session_, name, text, *reference);
+  }
+}
+
 // ---------------------------------------------------------------------
-// Typed-key guard: the XMark theta joins (counting joins, since only
-// count() consumes them) compare untyped @income against numbers, which
-// the kernel casts once per row. A plan or kernel change that hands it
-// keys without one comparison domain would silently bring back the
-// per-pair Compare path; the profile's fallback count catches that
-// deterministically.
+// Typed-key guard: the XMark theta joins (counting joins under count(),
+// theta joins when the joined items are returned) compare untyped
+// @income against numbers, which the kernels cast once per row. A plan
+// or kernel change that hands them keys without one comparison domain
+// would silently bring back the per-pair Compare path; the profile's
+// fallback count catches that deterministically.
 
 TEST(ThetaKernelGuard, XMarkThetaJoinsNeverFallBack) {
   Session session;
@@ -605,26 +641,35 @@ TEST(ThetaKernelGuard, XMarkThetaJoinsNeverFallBack) {
   options.scale = 0.016;
   ASSERT_TRUE(
       session.LoadDocument("auction.xml", GenerateXMark(options)).ok());
-  for (const char* name : {"Q11", "Q12"}) {
+  struct Case {
+    std::string name;
+    std::string text;
+    const char* kernel;
+  };
+  const Case cases[] = {{"Q11", XMarkQueryText("Q11"), "ThetaCount"},
+                        {"Q12", XMarkQueryText("Q12"), "ThetaCount"},
+                        {"Q11 items", kQ11Items, "ThetaJoin"},
+                        {"Q12 items", kQ12Items, "ThetaJoin"}};
+  for (const Case& c : cases) {
     for (OrderingMode mode :
          {OrderingMode::kOrdered, OrderingMode::kUnordered}) {
       QueryOptions o;
       o.default_ordering = mode;
       o.profile = true;
-      Result<QueryResult> r = session.Execute(XMarkQueryText(name), o);
-      ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
-      size_t counts = 0;
+      Result<QueryResult> r = session.Execute(c.text, o);
+      ASSERT_TRUE(r.ok()) << c.name << ": " << r.status().ToString();
+      size_t kernels = 0;
       for (const Profile::OpMetrics& m : r->profile.ops()) {
-        if (m.kind != "ThetaCount") continue;
-        ++counts;
-        EXPECT_GT(m.in_rows, 0u) << name;
-        EXPECT_GT(m.out_rows, 0u) << name;
-        EXPECT_EQ(m.theta_fallback_pairs, 0u) << name << " op " << m.op;
+        if (m.kind != c.kernel) continue;
+        ++kernels;
+        EXPECT_GT(m.in_rows, 0u) << c.name;
+        EXPECT_GT(m.out_rows, 0u) << c.name;
+        EXPECT_EQ(m.theta_fallback_pairs, 0u) << c.name << " op " << m.op;
       }
-      EXPECT_GE(counts, 1u) << name;
+      EXPECT_GE(kernels, 1u) << c.name;
       EXPECT_NE(r->profile.ToJson().find("\"theta_fallback_pairs\": 0"),
                 std::string::npos)
-          << name;
+          << c.name;
     }
   }
 }

@@ -12,8 +12,9 @@
 //     SweepFaultPoints: every single fault point surfaces as the planned
 //     code and an unfaulted re-run is byte-identical;
 //   * the memory half: fusing must strictly lower the peak live
-//     footprint on XMark Q3 below the operator-at-a-time release
-//     frontier, because interior stages never materialize;
+//     footprint on XMark Q3, and on a Q11 that keeps its ThetaJoin,
+//     below the operator-at-a-time release frontier, because interior
+//     stages (the theta stage's pairs among them) never materialize;
 //   * the plan audit: a hand-corrupted MorselPlan must be refused before
 //     the engine runs a single morsel.
 //
@@ -234,6 +235,35 @@ TEST_F(PipelineExecTest, Q3PeakMemoryStrictlyLowerWhenFused) {
   EXPECT_EQ(off->serialized, on->serialized);
   EXPECT_FALSE(on->profile.pipelines().empty());
   EXPECT_LT(on->profile.peak_live_bytes(), off->profile.peak_live_bytes());
+}
+
+// Q11 summing the joined prices instead of counting them keeps its
+// ThetaJoin: fused, the theta stage streams its (person, auction) pairs
+// morsel by morsel into the sum instead of materializing the pair table.
+TEST_F(PipelineExecTest, ThetaJoinPeakMemoryStrictlyLowerWhenFused) {
+  const std::string q11_sum =
+      R"(let $auction := doc("auction.xml")
+for $p in $auction/site/people/person
+let $l := for $i in $auction/site/open_auctions/open_auction/initial
+          where $p/profile/@income > 5000 * $i
+          return $i
+return <items name="{ $p/name }">{ fn:sum($l) }</items>)";
+  QueryOptions unfused = Reference();
+  unfused.profile = true;
+  QueryOptions fused = Pipelined(/*threads=*/1, /*morsel_rows=*/64);
+  fused.profile = true;
+
+  Result<QueryResult> off = session_->Execute(q11_sum, unfused);
+  Result<QueryResult> on = session_->Execute(q11_sum, fused);
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  ASSERT_GE(on->plan_optimized.theta_join_ops, 1u);
+
+  EXPECT_EQ(off->serialized, on->serialized);
+  EXPECT_FALSE(on->profile.pipelines().empty());
+  EXPECT_LT(on->profile.peak_live_bytes(), off->profile.peak_live_bytes())
+      << "fused " << on->profile.peak_live_bytes() << " vs unfused "
+      << off->profile.peak_live_bytes();
 }
 
 // ---------------------------------------------------------------------
